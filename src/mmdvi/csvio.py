@@ -58,7 +58,8 @@ def read_samples(path: str) -> np.ndarray:
     """Read an (n, d) sample matrix: numeric rows, optional ``#`` comment lines.
 
     Raises :class:`CsvFormatError` with the offending line number for ragged
-    rows, non-numeric cells, or a file with no data rows.
+    rows, non-numeric or non-finite (``nan``, ``inf``) cells, or a file with
+    no data rows.
     """
     rows: list[list[float]] = []
     width = None
@@ -77,10 +78,14 @@ def read_samples(path: str) -> np.ndarray:
                     path, line, f"expected {width} fields, found {len(cells)}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError:
                 bad = next(c for c in cells if not _is_float(c))
                 raise CsvFormatError(path, line, f"not a number: {bad!r}") from None
+            if not all(map(math.isfinite, row)):
+                bad = next(c for c, v in zip(cells, row) if not math.isfinite(v))
+                raise CsvFormatError(path, line, f"not a finite number: {bad!r}")
+            rows.append(row)
     if not rows:
         raise CsvFormatError(path, 1, "no data rows")
     return np.asarray(rows, dtype=float)

@@ -157,30 +157,56 @@ def _regularizer_grads(q: MeanFieldGaussian, inv_beta: float) -> GradEstimate:
     return GradEstimate(inv_beta * q.m, inv_beta * (q.s - 1.0 / q.s))
 
 
+def _workspace(
+    kind: str, r: int, n: int, m_particles: int, dtype
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Scratch for one stacked kernel call: an (R, n, M) buffer for the
+    Gaussian model, a pair of (R, M, n) buffers for the uniform model."""
+    if kind == GAUSSIAN:
+        return np.empty((r, n, m_particles), dtype)
+    return np.empty((r, m_particles, n), dtype), np.empty((r, m_particles, n), dtype)
+
+
 def _gauss_closed_grad_stack(
     x: np.ndarray,
-    xsq: np.ndarray,
     particles: np.ndarray,
     z: np.ndarray,
     sigma2: float,
     gamma2: float,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the Gaussian model.
 
-    ``x`` is (R, n, d) with precomputed row norms ``xsq`` (R, n); ``particles``
-    and ``z`` are (R, M, d) with ``particles = m + s * z``.  Returns float64
-    ``(g_m, g_s)`` of shape (R, d), the gradients of ``-(2/n) sum_i int
-    E[k(X_i, X)] dq`` estimated on the particle set.
+    ``x`` is (R, n, d); ``particles`` and ``z`` are (R, M, d) with
+    ``particles = m + s * z``.  Returns float64 ``(g_m, g_s)`` of shape
+    (R, d), the gradients of ``-(2/n) sum_i int E[k(X_i, X)] dq`` estimated
+    on the particle set.
+
+    ``work`` is an (R, n, M) buffer of the arithmetic dtype that receives the
+    squared distances and then the kernel values; its contents on entry are
+    never read, so one buffer serves every step of a fit.  ``None`` allocates
+    a fresh one.  For d=1 the distance is the difference ``(x - theta)^2``,
+    which cannot cancel; for d>1 it is the norm expansion
+    ``|x|^2 + |theta|^2 - 2 x.theta`` clamped at zero.
     """
     r, n, d = x.shape
     m_particles = particles.shape[1]
     a2 = 2.0 * sigma2 + gamma2
     c2 = (gamma2 / a2) ** (d / 2.0)
-    psq = np.einsum("rmd,rmd->rm", particles, particles)
-    sq = xsq[:, :, None] + psq[:, None, :] - 2.0 * np.matmul(x, particles.transpose(0, 2, 1))
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -1.0 / a2
-    e = np.exp(sq)  # (R, n, M), scaled by c2 at the end
+    if work is None:
+        work = _workspace(GAUSSIAN, r, n, m_particles, np.result_type(x, particles))
+    pt = particles.transpose(0, 2, 1)  # (R, d, M)
+    if d == 1:
+        np.subtract(x, pt, out=work)
+        np.square(work, out=work)
+    else:
+        np.matmul(x, pt, out=work)
+        work *= -2.0
+        work += np.einsum("rnd,rnd->rn", x, x)[:, :, None]
+        work += np.einsum("rmd,rmd->rm", particles, particles)[:, None, :]
+        np.maximum(work, 0.0, out=work)
+    work *= -1.0 / a2
+    e = np.exp(work, out=work)  # (R, n, M), scaled by c2 at the end
     col = e.sum(axis=1)  # (R, M)
     v = np.matmul(e.transpose(0, 2, 1), x)  # (R, M, d)
     per_particle = v - col[:, :, None] * particles  # ~ grad wrt theta summed over i
@@ -196,23 +222,30 @@ def _uniform_closed_grad_stack(
     z: np.ndarray,
     gamma2: float,
     half_width: float,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the 1-D uniform model.
 
     ``x`` is (R, n); ``particles`` and ``z`` are (R, M).  Uses the endpoint
     kernel differences ``K(theta + a - x) - K(theta - a - x)`` normalised by
     the uniform density ``1/(2a)``.  Returns float64 (R, 1) gradients.
+
+    ``work`` is a pair of (R, M, n) buffers of the arithmetic dtype whose
+    contents on entry are never read; ``None`` allocates a fresh pair.
     """
     r, n = x.shape
     m_particles = particles.shape[1]
-    up = particles[:, :, None] + half_width - x[:, None, :]
-    lo = particles[:, :, None] - half_width - x[:, None, :]
+    if work is None:
+        work = _workspace(UNIFORM, r, n, m_particles, np.result_type(x, particles))
+    up, lo = work
+    np.subtract(particles[:, :, None] + half_width, x[:, None, :], out=up)
+    np.subtract(up, 2.0 * half_width, out=lo)
     np.square(up, out=up)
     np.square(lo, out=lo)
     up *= -1.0 / gamma2
     lo *= -1.0 / gamma2
-    g = np.exp(up)
-    g -= np.exp(lo)  # (R, M, n)
+    g = np.exp(up, out=up)
+    g -= np.exp(lo, out=lo)  # (R, M, n)
     per_particle = g.sum(axis=2)  # (R, M)
     scale = -2.0 / (n * m_particles * 2.0 * half_width)
     g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
@@ -267,8 +300,7 @@ def grad_estimate(
     if config.estimator == CLOSED_FORM:
         if model.kind == GAUSSIAN:
             g_m, g_s = _gauss_closed_grad_stack(
-                data[None], self_sq(data)[None], particles[None], z[None],
-                model.sigma2, kernel.gamma2,
+                data[None], particles[None], z[None], model.sigma2, kernel.gamma2
             )
         else:
             if model.dim != 1:
@@ -530,6 +562,12 @@ def fit_batched(
     below the Monte Carlo noise of the gradient).  Traces are not recorded;
     returns the final ``(m, s)`` stacks.  Only the closed-form estimator is
     supported: it is the one cheap enough to justify batching.
+
+    The pairwise kernel arithmetic of every step is written into one
+    workspace allocated here, once per call, in ``dtype``: an (R, n, M)
+    buffer for the Gaussian model and two (R, M, n) buffers for the uniform
+    model.  Each step overwrites it completely, so reuse changes no result:
+    a float64 stack of one dataset reproduces :func:`fit` bit for bit.
     """
     if config.estimator != CLOSED_FORM:
         raise ValueError("fit_batched supports the closed_form estimator only")
@@ -549,20 +587,18 @@ def fit_batched(
     inv_beta = config.inv_beta
 
     x = data_stack.astype(dtype)
-    if model.kind == GAUSSIAN:
-        xsq = np.einsum("rnd,rnd->rn", x, x)
-    else:
-        x1 = x[:, :, 0]
+    work = _workspace(model.kind, r, n, m_particles, dtype)
 
     for t in range(1, config.n_steps + 1):
         z = np.stack([rg.standard_normal((m_particles, d)) for rg in rngs])
         particles = (m[:, None, :] + s[:, None, :] * z).astype(dtype)
         zt = z.astype(dtype)
         if model.kind == GAUSSIAN:
-            g_m, g_s = _gauss_closed_grad_stack(x, xsq, particles, zt, model.sigma2, kernel.gamma2)
+            g_m, g_s = _gauss_closed_grad_stack(x, particles, zt, model.sigma2, kernel.gamma2, work)
         else:
             g_m, g_s = _uniform_closed_grad_stack(
-                x1, particles[:, :, 0], zt[:, :, 0], kernel.gamma2, model.half_width
+                x[:, :, 0], particles[:, :, 0], zt[:, :, 0],
+                kernel.gamma2, model.half_width, work,
             )
         if inv_beta != 0.0:
             g_m = g_m + inv_beta * m

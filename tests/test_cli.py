@@ -72,6 +72,17 @@ def test_estimate_malformed_csv_exits_2(tmp_path, capsys):
     assert f"{bad}:2:" in err
 
 
+def test_estimate_non_finite_csv_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1.0\n2.0\nnan\n3.0\n")
+    code = main(["estimate", "--data", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:3:" in err
+    assert "'nan'" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def _sweep_args(tmp_path, **extra):
     args = [
         "sweep", "--problem", "gauss1d", "--epsilons", "0.0,0.1", "--reps", "2",

@@ -86,6 +86,16 @@ def test_read_samples_non_numeric_cell(tmp_path):
     assert "'oops'" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_read_samples_rejects_non_finite_cell(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"# x_0,x_1\n1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_samples(str(p))
+    assert err.value.line == 3
+    assert f"not a finite number: {cell!r}" in str(err.value)
+
+
 def test_read_samples_no_data(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("# only comments\n\n")

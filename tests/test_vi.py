@@ -14,6 +14,8 @@ from mmdvi.vi import (
     SHARED,
     FitConfig,
     MeanFieldGaussian,
+    _gauss_closed_grad_stack,
+    _uniform_closed_grad_stack,
     fit,
     fit_batched,
     grad_estimate,
@@ -392,6 +394,125 @@ def test_fit_batched_rejects_score_estimator():
             np.zeros((1, 1)),
             np.ones((1, 1)),
         )
+
+
+def _gauss_grad_reference(x, particles, z, sigma2, gamma2):
+    """Per-pair float64 loop over ``k(x_i, theta_k)`` for the Gaussian model."""
+    r, n, d = x.shape
+    m_particles = particles.shape[1]
+    a2 = 2.0 * sigma2 + gamma2
+    scale = -((gamma2 / a2) ** (d / 2.0)) * (2.0 / a2) * 2.0 / (n * m_particles)
+    g_m = np.zeros((r, d))
+    g_s = np.zeros((r, d))
+    for b in range(r):
+        for k in range(m_particles):
+            for i in range(n):
+                diff = [x[b, i, j] - particles[b, k, j] for j in range(d)]
+                e = math.exp(-math.fsum(t * t for t in diff) / a2)
+                for j in range(d):
+                    g_m[b, j] += scale * e * diff[j]
+                    g_s[b, j] += scale * e * diff[j] * z[b, k, j]
+    return g_m, g_s
+
+
+def _uniform_grad_reference(x, particles, z, gamma2, half_width):
+    """Per-pair float64 loop over the endpoint kernel differences."""
+    r, n = x.shape
+    m_particles = particles.shape[1]
+    scale = -2.0 / (n * m_particles * 2.0 * half_width)
+    g_m = np.zeros((r, 1))
+    g_s = np.zeros((r, 1))
+    for b in range(r):
+        for k in range(m_particles):
+            for i in range(n):
+                up = particles[b, k] + half_width - x[b, i]
+                lo = particles[b, k] - half_width - x[b, i]
+                g = math.exp(-up * up / gamma2) - math.exp(-lo * lo / gamma2)
+                g_m[b, 0] += scale * g
+                g_s[b, 0] += scale * g * z[b, k]
+    return g_m, g_s
+
+
+def _stack_inputs(r, n, m_particles, d, seed):
+    rng = np.random.default_rng(seed)
+    x = 0.5 + rng.standard_normal((r, n, d))
+    m = rng.standard_normal((r, 1, d))
+    s = 0.5 + rng.random((r, 1, d))
+    z = rng.standard_normal((r, m_particles, d))
+    return x, m + s * z, z
+
+
+@pytest.mark.parametrize("d", [1, 15])
+def test_gauss_stack_matches_per_pair_reference(d):
+    x, particles, z = _stack_inputs(3, 11, 7, d, seed=31 + d)
+    g_m, g_s = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d))
+    ref_m, ref_s = _gauss_grad_reference(x, particles, z, 1.0, float(d))
+    np.testing.assert_allclose(g_m, ref_m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(g_s, ref_s, rtol=1e-12, atol=0)
+
+
+def test_uniform_stack_matches_per_pair_reference():
+    x, particles, z = _stack_inputs(3, 11, 7, 1, seed=33)
+    g_m, g_s = _uniform_closed_grad_stack(x[..., 0], particles[..., 0], z[..., 0], 1.0, 1.0)
+    ref_m, ref_s = _uniform_grad_reference(x[..., 0], particles[..., 0], z[..., 0], 1.0, 1.0)
+    np.testing.assert_allclose(g_m, ref_m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(g_s, ref_s, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [1, 15])
+def test_gauss_stack_reused_workspace_is_bitwise_fresh(d, dtype):
+    x, particles, z = (a.astype(dtype) for a in _stack_inputs(2, 9, 6, d, seed=40 + d))
+    work = np.full((2, 9, 6), np.nan, dtype)
+    # a first call with other particles leaves the buffer dirty
+    _gauss_closed_grad_stack(x, particles + 3.0, z, 1.0, float(d), work)
+    reused = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d), work)
+    fresh = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d))
+    np.testing.assert_array_equal(reused[0], fresh[0])
+    np.testing.assert_array_equal(reused[1], fresh[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_uniform_stack_reused_workspace_is_bitwise_fresh(dtype):
+    x, particles, z = (a[..., 0].astype(dtype) for a in _stack_inputs(2, 9, 6, 1, seed=42))
+    work = (np.full((2, 6, 9), np.nan, dtype), np.full((2, 6, 9), np.inf, dtype))
+    _uniform_closed_grad_stack(x, particles - 2.0, z, 1.0, 0.5, work)
+    reused = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, work)
+    fresh = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5)
+    np.testing.assert_array_equal(reused[0], fresh[0])
+    np.testing.assert_array_equal(reused[1], fresh[1])
+
+
+def _outlier_fit(outlier):
+    rng = np.random.default_rng(50)
+    model = ModelSpec.gaussian(1)
+    data = sample(model, np.array([2.0]), 60, rng)
+    data[0, 0] = outlier
+    return fit(data, model, config=FitConfig.benchmark(60, 1, n_steps=100))
+
+
+def test_fit_survives_outlier_at_float_max():
+    # the outlier's kernel weight underflows to exactly zero at either size,
+    # so the fit cannot tell them apart
+    far = _outlier_fit(1e308)
+    near = _outlier_fit(1e200)
+    assert np.all(np.isfinite(far.q.m)) and np.all(np.isfinite(far.q.s))
+    assert abs(far.q.m[0] - 2.0) < 0.5
+    np.testing.assert_array_equal(far.q.m, near.q.m)
+    np.testing.assert_array_equal(far.q.s, near.q.s)
+    assert np.all(np.isfinite(far.trace.objective))
+    assert np.all(np.isfinite(near.trace.objective))
+
+
+def test_fit_is_translation_equivariant():
+    rng = np.random.default_rng(51)
+    model = ModelSpec.gaussian(1)
+    data = sample(model, np.array([0.5]), 200, rng)
+    config = FitConfig.benchmark(200, 1, n_steps=200)
+    shift = 1e5
+    base = fit(data, model, config=config)
+    moved = fit(data + shift, model, config=config)
+    assert abs((moved.q.m[0] - shift) - base.q.m[0]) < 1e-9
 
 
 def test_fit_recovers_clean_gaussian_mean():
