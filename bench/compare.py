@@ -1,28 +1,35 @@
 """Compare two checkouts of mmdvi on the perfbench workloads.
 
 Runs ``perfbench/run.py`` in a parent and a change checkout, alternating which
-side runs first, for every workload in ``BENCHMARK.json``; adds one traced run
-per side and workload, and a float32 ``fit_batched`` timing at d=15, which no
-benchmark workload covers.  Writes one JSON file with each side's median and
-quartiles, the pair wins and every raw value::
+side runs first, for ``PAIRS`` pairs of every workload in ``BENCHMARK.json``
+at its ``run_seconds``; then ``TRACED_RUNS`` traced runs per side and
+workload, and a float32 ``fit_batched`` timing at d=15, which no benchmark
+workload covers.  Writes one JSON file with each side's median and quartiles,
+the pair wins, the traced per-layer medians and every raw value::
 
-    python3 bench/compare.py --parent ../mmdvi-parent --change . \\
-        --pairs 10 --seed 2001 --out BENCH_2.json
+    python3 bench/compare.py --parent ../mmdvi-parent --change . --out BENCH_2.json
 
 Each checkout runs its own ``perfbench/`` and its own ``src/``.  Pair ``i``
-uses seed ``seed + i`` on both sides.
+uses seed ``FIRST_SEED + i`` on both sides, traced run ``j`` seed
+``FIRST_SEED + j``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
+FIRST_SEED = 2001
+TRACED_RUNS = 3
+MACHINE_KEYS = ("nproc", "cpus_usable", "cpu_model", "python", "numpy", "blas", "blas_threads")
 
 D15_PROBE = """
 import sys, time, numpy as np
@@ -49,14 +56,34 @@ def _env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src")}
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple[dict, dict]:
+    """One perfbench run; returns its metric values and its ``# env`` record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=_env(checkout))
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     if not result["correct"] or proc.returncode != 0:
         raise RuntimeError(f"{checkout} {workload} seed {seed}: checks failed\n{proc.stdout}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    env = next(json.loads(line[len("# env "):]) for line in lines if line.startswith("# env "))
+    return {name: m["value"] for name, m in result["metrics"].items()}, env
+
+
+def alternating(sides: dict, workload: str, seconds: float, trace: int,
+                count: int) -> tuple[dict, dict]:
+    """``count`` runs per side, run ``i`` with seed ``FIRST_SEED + i`` on both
+    sides and the first side alternating; returns each side's metric values
+    and the ``# env`` record of the last run."""
+    runs = {"parent": [], "change": []}
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            values, env = run_bench(sides[side], workload, FIRST_SEED + i, seconds, trace)
+            runs[side].append(values)
+            print(f"{workload} trace={trace} run {i} {side}: steps_per_s "
+                  f"{values.get('steps_per_s', math.nan):.1f}", flush=True)
+    return runs, env
 
 
 def d15_ms_per_step(checkout: Path, reps: int) -> float:
@@ -83,40 +110,31 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=2001)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--workloads", help="comma-separated subset of the workloads")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    report = {"machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                          "platform": platform.platform()},
-              "pairs": args.pairs, "seconds": seconds, "first_seed": args.seed,
+    report = {"machine": {"platform": platform.platform()}, "pairs": PAIRS,
+              "seconds": seconds, "first_seed": FIRST_SEED, "traced_runs": TRACED_RUNS,
               "end_to_end": {}, "traced": {}}
-    for workload in workloads:
-        runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_bench(sides[side], workload, args.seed + i, seconds, 0))
-                print(f"{workload} pair {i} {side}: steps_per_s "
-                      f"{runs[side][-1]['steps_per_s']:.1f}", flush=True)
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs, env = alternating(sides, workload, seconds, 0, PAIRS)
+        report["machine"].update({key: env[key] for key in MACHINE_KEYS})
         report["end_to_end"][workload] = {
             name: compare([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                           better[name])
             for name in runs["parent"][0]
         }
+        traced, _ = alternating(sides, workload, seconds, 1, TRACED_RUNS)
         report["traced"][workload] = {
-            side: run_bench(sides[side], workload, args.seed, seconds, 1) for side in sides
+            "median": {side: {name: statistics.median(r[name] for r in side_runs)
+                              for name in side_runs[0]}
+                       for side, side_runs in traced.items()},
+            "runs": traced,
         }
     report["d15_fit_batched_ms_per_step"] = {
         "what": "float32 fit_batched, R=25, n=M=200, d=15, median of 15 calls of 4 steps",

@@ -94,25 +94,22 @@ def gram_sum(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> float:
     block is reduced with numpy's pairwise summation, and the per-block
     partial sums are combined with ``math.fsum`` so the final accumulation is
     compensated.  Handles samples up to ~1e4 points without blowing memory.
-    In one dimension the squared distance is the difference ``(x - y)^2``,
-    which stays exact in location and finite-or-inf for any finite input;
-    otherwise it is the norm expansion clamped at zero.
+    The squared distance is summed from per-coordinate differences
+    ``(x_j - y_j)^2``, which cannot cancel and stay finite-or-inf for any
+    finite input.
     """
     x = _as_points(x, "x")
     y = _as_points(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: x has d={x.shape[1]}, y has d={y.shape[1]}")
-    one_dim = x.shape[1] == 1
-    ysq = None if one_dim else self_sq(y)
     parts = []
     for lo in range(0, x.shape[0], GRAM_BLOCK):
         xb = x[lo : lo + GRAM_BLOCK]
-        if one_dim:
-            sq = xb - y.T
-            np.square(sq, out=sq)
-        else:
-            sq = self_sq(xb)[:, None] + ysq[None, :] - 2.0 * (xb @ y.T)
-            np.maximum(sq, 0.0, out=sq)
+        sq = xb[:, :1] - y[:, 0]
+        np.square(sq, out=sq)
+        for j in range(1, x.shape[1]):
+            diff = xb[:, j : j + 1] - y[:, j]
+            sq += np.square(diff, out=diff)
         np.divide(sq, -kernel.gamma2, out=sq)
         np.exp(sq, out=sq)
         parts.append(float(sq.sum()))

@@ -173,7 +173,7 @@ def _gauss_closed_grad_stack(
     z: np.ndarray,
     sigma2: float,
     gamma2: float,
-    work: np.ndarray | None = None,
+    work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the Gaussian model.
 
@@ -182,19 +182,17 @@ def _gauss_closed_grad_stack(
     (R, d), the gradients of ``-(2/n) sum_i int E[k(X_i, X)] dq`` estimated
     on the particle set.
 
-    ``work`` is an (R, n, M) buffer of the arithmetic dtype that receives the
-    squared distances and then the kernel values; its contents on entry are
-    never read, so one buffer serves every step of a fit.  ``None`` allocates
-    a fresh one.  For d=1 the distance is the difference ``(x - theta)^2``,
-    which cannot cancel; for d>1 it is the norm expansion
-    ``|x|^2 + |theta|^2 - 2 x.theta`` clamped at zero.
+    ``work`` is the (R, n, M) buffer from :func:`_workspace` that receives
+    the squared distances and then the kernel values; its contents on entry
+    are never read, so one buffer serves every step of a fit.  For d=1 the
+    distance is the difference ``(x - theta)^2``, which cannot cancel; for
+    d>1 it is the norm expansion ``|x|^2 + |theta|^2 - 2 x.theta`` clamped
+    at zero.
     """
-    r, n, d = x.shape
+    n, d = x.shape[1:]
     m_particles = particles.shape[1]
     a2 = 2.0 * sigma2 + gamma2
     c2 = (gamma2 / a2) ** (d / 2.0)
-    if work is None:
-        work = _workspace(GAUSSIAN, r, n, m_particles, np.result_type(x, particles))
     pt = particles.transpose(0, 2, 1)  # (R, d, M)
     if d == 1:
         np.subtract(x, pt, out=work)
@@ -222,7 +220,7 @@ def _uniform_closed_grad_stack(
     z: np.ndarray,
     gamma2: float,
     half_width: float,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the 1-D uniform model.
 
@@ -230,13 +228,11 @@ def _uniform_closed_grad_stack(
     kernel differences ``K(theta + a - x) - K(theta - a - x)`` normalised by
     the uniform density ``1/(2a)``.  Returns float64 (R, 1) gradients.
 
-    ``work`` is a pair of (R, M, n) buffers of the arithmetic dtype whose
-    contents on entry are never read; ``None`` allocates a fresh pair.
+    ``work`` is the pair of (R, M, n) buffers from :func:`_workspace`; their
+    contents on entry are never read.
     """
-    r, n = x.shape
+    n = x.shape[1]
     m_particles = particles.shape[1]
-    if work is None:
-        work = _workspace(UNIFORM, r, n, m_particles, np.result_type(x, particles))
     up, lo = work
     np.subtract(particles[:, :, None] + half_width, x[:, None, :], out=up)
     np.subtract(up, 2.0 * half_width, out=lo)
@@ -298,16 +294,17 @@ def grad_estimate(
     particles = q.m + q.s * z
 
     if config.estimator == CLOSED_FORM:
+        work = _workspace(model.kind, 1, n, m_particles, np.float64)
         if model.kind == GAUSSIAN:
             g_m, g_s = _gauss_closed_grad_stack(
-                data[None], particles[None], z[None], model.sigma2, kernel.gamma2
+                data[None], particles[None], z[None], model.sigma2, kernel.gamma2, work
             )
         else:
             if model.dim != 1:
                 raise ValueError("closed-form uniform gradients support dim=1 only")
             g_m, g_s = _uniform_closed_grad_stack(
                 data[None, :, 0], particles[None, :, 0], z[None, :, 0],
-                kernel.gamma2, model.half_width,
+                kernel.gamma2, model.half_width, work,
             )
         g_m, g_s = g_m[0], g_s[0]
     else:  # score estimator

@@ -100,6 +100,19 @@ def test_gram_sum_blocked_path_consistent():
     assert total == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_gram_sum_far_outlier_stays_finite(d):
+    # a norm expansion gives inf - inf = nan for a point at 1e200; the
+    # per-coordinate differences give a kernel value of exactly 0
+    rng = np.random.default_rng(12)
+    k = GaussianKernel(1.0)
+    x = rng.standard_normal((40, d))
+    far = x.copy()
+    far[0] = 1e200
+    expected = gram_sum(k, x[1:], x[1:]) + 1.0
+    assert gram_sum(k, far, far) == pytest.approx(expected, rel=1e-13)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_gram_entries_bounded_and_symmetric(seed):

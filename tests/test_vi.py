@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmdvi.kernel import GaussianKernel
-from mmdvi.models import ModelSpec, sample
+from mmdvi.models import GAUSSIAN, UNIFORM, ModelSpec, sample
 from mmdvi.vi import (
     CLOSED_FORM,
     PER_PARTICLE,
@@ -16,6 +16,7 @@ from mmdvi.vi import (
     MeanFieldGaussian,
     _gauss_closed_grad_stack,
     _uniform_closed_grad_stack,
+    _workspace,
     fit,
     fit_batched,
     grad_estimate,
@@ -445,7 +446,8 @@ def _stack_inputs(r, n, m_particles, d, seed):
 @pytest.mark.parametrize("d", [1, 15])
 def test_gauss_stack_matches_per_pair_reference(d):
     x, particles, z = _stack_inputs(3, 11, 7, d, seed=31 + d)
-    g_m, g_s = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d))
+    work = _workspace(GAUSSIAN, 3, 11, 7, np.float64)
+    g_m, g_s = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d), work)
     ref_m, ref_s = _gauss_grad_reference(x, particles, z, 1.0, float(d))
     np.testing.assert_allclose(g_m, ref_m, rtol=1e-12, atol=0)
     np.testing.assert_allclose(g_s, ref_s, rtol=1e-12, atol=0)
@@ -453,7 +455,10 @@ def test_gauss_stack_matches_per_pair_reference(d):
 
 def test_uniform_stack_matches_per_pair_reference():
     x, particles, z = _stack_inputs(3, 11, 7, 1, seed=33)
-    g_m, g_s = _uniform_closed_grad_stack(x[..., 0], particles[..., 0], z[..., 0], 1.0, 1.0)
+    work = _workspace(UNIFORM, 3, 11, 7, np.float64)
+    g_m, g_s = _uniform_closed_grad_stack(
+        x[..., 0], particles[..., 0], z[..., 0], 1.0, 1.0, work
+    )
     ref_m, ref_s = _uniform_grad_reference(x[..., 0], particles[..., 0], z[..., 0], 1.0, 1.0)
     np.testing.assert_allclose(g_m, ref_m, rtol=1e-12, atol=0)
     np.testing.assert_allclose(g_s, ref_s, rtol=1e-12, atol=0)
@@ -467,7 +472,8 @@ def test_gauss_stack_reused_workspace_is_bitwise_fresh(d, dtype):
     # a first call with other particles leaves the buffer dirty
     _gauss_closed_grad_stack(x, particles + 3.0, z, 1.0, float(d), work)
     reused = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d), work)
-    fresh = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d))
+    fresh_work = _workspace(GAUSSIAN, 2, 9, 6, dtype)
+    fresh = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d), fresh_work)
     np.testing.assert_array_equal(reused[0], fresh[0])
     np.testing.assert_array_equal(reused[1], fresh[1])
 
@@ -478,7 +484,8 @@ def test_uniform_stack_reused_workspace_is_bitwise_fresh(dtype):
     work = (np.full((2, 6, 9), np.nan, dtype), np.full((2, 6, 9), np.inf, dtype))
     _uniform_closed_grad_stack(x, particles - 2.0, z, 1.0, 0.5, work)
     reused = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, work)
-    fresh = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5)
+    fresh_work = _workspace(UNIFORM, 2, 9, 6, dtype)
+    fresh = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, fresh_work)
     np.testing.assert_array_equal(reused[0], fresh[0])
     np.testing.assert_array_equal(reused[1], fresh[1])
 
