@@ -3,11 +3,12 @@
 Runs ``perfbench/run.py`` in a parent and a change checkout, alternating which
 side runs first, for ``PAIRS`` pairs of every workload in ``BENCHMARK.json``
 at its ``run_seconds``; then ``TRACED_RUNS`` traced runs per side and
-workload, and a float32 ``fit_batched`` timing at d=15, which no benchmark
-workload covers.  Writes one JSON file with each side's median and quartiles,
-the pair wins, the traced per-layer medians and every raw value::
+workload, and ``PAIRS`` alternating pairs of a float32 ``fit_batched``
+timing at d=15, which no benchmark workload covers.  Writes one JSON file
+with each side's median and quartiles, the pair wins, the traced per-layer
+medians and every raw value::
 
-    python3 bench/compare.py --parent ../mmdvi-parent --change . --out BENCH_2.json
+    python3 bench/compare.py --parent ../mmdvi-parent --change . --out BENCH_3.json
 
 Each checkout runs its own ``perfbench/`` and its own ``src/``.  Pair ``i``
 uses seed ``FIRST_SEED + i`` on both sides, traced run ``j`` seed
@@ -136,9 +137,13 @@ def main(argv=None) -> int:
                        for side, side_runs in traced.items()},
             "runs": traced,
         }
+    d15 = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            d15[side].append(d15_ms_per_step(sides[side], 15))
     report["d15_fit_batched_ms_per_step"] = {
         "what": "float32 fit_batched, R=25, n=M=200, d=15, median of 15 calls of 4 steps",
-        **{side: d15_ms_per_step(path, 15) for side, path in sides.items()},
+        **compare(d15["parent"], d15["change"], "lower"),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

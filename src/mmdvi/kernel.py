@@ -77,9 +77,23 @@ def gram(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = _as_points(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: x has d={x.shape[1]}, y has d={y.shape[1]}")
-    sq = self_sq(x)[:, None] + self_sq(y)[None, :] - 2.0 * (x @ y.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / kernel.gamma2)
+    return _gram_block(kernel, x, y)
+
+
+def _gram_block(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kernel values for (n, d) ``x`` against (m, d) ``y``.
+
+    The squared distance is summed from per-coordinate differences
+    ``(x_j - y_j)^2``, which cannot cancel and stay finite-or-inf for any
+    finite input, so ``k(x, x)`` is exactly 1 however far ``x`` lies.
+    """
+    sq = x[:, :1] - y[:, 0]
+    np.square(sq, out=sq)
+    for j in range(1, x.shape[1]):
+        diff = x[:, j : j + 1] - y[:, j]
+        sq += np.square(diff, out=diff)
+    np.divide(sq, -kernel.gamma2, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def self_sq(x: np.ndarray) -> np.ndarray:
@@ -94,26 +108,16 @@ def gram_sum(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> float:
     block is reduced with numpy's pairwise summation, and the per-block
     partial sums are combined with ``math.fsum`` so the final accumulation is
     compensated.  Handles samples up to ~1e4 points without blowing memory.
-    The squared distance is summed from per-coordinate differences
-    ``(x_j - y_j)^2``, which cannot cancel and stay finite-or-inf for any
-    finite input.
+    Each block comes from the same routine as :func:`gram`.
     """
     x = _as_points(x, "x")
     y = _as_points(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: x has d={x.shape[1]}, y has d={y.shape[1]}")
-    parts = []
-    for lo in range(0, x.shape[0], GRAM_BLOCK):
-        xb = x[lo : lo + GRAM_BLOCK]
-        sq = xb[:, :1] - y[:, 0]
-        np.square(sq, out=sq)
-        for j in range(1, x.shape[1]):
-            diff = xb[:, j : j + 1] - y[:, j]
-            sq += np.square(diff, out=diff)
-        np.divide(sq, -kernel.gamma2, out=sq)
-        np.exp(sq, out=sq)
-        parts.append(float(sq.sum()))
-    return math.fsum(parts)
+    return math.fsum(
+        float(_gram_block(kernel, x[lo : lo + GRAM_BLOCK], y).sum())
+        for lo in range(0, x.shape[0], GRAM_BLOCK)
+    )
 
 
 def gaussian_embedding_inner(

@@ -157,6 +157,11 @@ def _regularizer_grads(q: MeanFieldGaussian, inv_beta: float) -> GradEstimate:
     return GradEstimate(inv_beta * q.m, inv_beta * (q.s - 1.0 / q.s))
 
 
+# Upper bound on one block's workspace in :func:`fit_batched`: small enough to
+# stay in a core's L2 cache across the passes of a step.
+BLOCK_BYTES = 1 << 20
+
+
 def _workspace(
     kind: str, r: int, n: int, m_particles: int, dtype
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -165,6 +170,36 @@ def _workspace(
     if kind == GAUSSIAN:
         return np.empty((r, n, m_particles), dtype)
     return np.empty((r, m_particles, n), dtype), np.empty((r, m_particles, n), dtype)
+
+
+def _block_size(kind: str, n: int, m_particles: int, dtype) -> int:
+    """Datasets per block of :func:`fit_batched`: as many as fit their
+    :func:`_workspace` into ``BLOCK_BYTES``, and at least one."""
+    one = _workspace(kind, 1, n, m_particles, dtype)
+    per_dataset = sum(buf.nbytes for buf in (one if isinstance(one, tuple) else (one,)))
+    return max(1, BLOCK_BYTES // per_dataset)
+
+
+def _left_half(a: np.ndarray) -> np.ndarray:
+    """The (R, k, 2) operand ``[a, 1]`` of a rank-2 difference; ``a`` is (R, k)."""
+    out = np.empty(a.shape + (2,), a.dtype)
+    out[..., 0] = a
+    out[..., 1] = 1.0
+    return out
+
+
+def _right_half(b: np.ndarray) -> np.ndarray:
+    """The (R, 2, k) operand ``[1; -b]`` of a rank-2 difference; ``b`` is (R, k).
+
+    ``np.matmul(_left_half(a), _right_half(b))`` is ``a[:, :, None] -
+    b[:, None, :]`` bit for bit up to the sign of a zero: each entry is
+    ``a_i * 1 + 1 * (-b_j)``, whose products are exact, so the one rounding
+    is that of the difference, whether BLAS or numpy's own loop sums it.
+    """
+    out = np.empty((b.shape[0], 2, b.shape[1]), b.dtype)
+    out[:, 0] = 1.0
+    np.negative(b, out=out[:, 1])
+    return out
 
 
 def _gauss_closed_grad_stack(
@@ -185,20 +220,21 @@ def _gauss_closed_grad_stack(
     ``work`` is the (R, n, M) buffer from :func:`_workspace` that receives
     the squared distances and then the kernel values; its contents on entry
     are never read, so one buffer serves every step of a fit.  For d=1 the
-    distance is the difference ``(x - theta)^2``, which cannot cancel; for
-    d>1 it is the norm expansion ``|x|^2 + |theta|^2 - 2 x.theta`` clamped
+    difference ``x - theta`` is the batched rank-2 matmul
+    ``[x, 1] @ [1; -theta]`` (see :func:`_right_half`): the values of a
+    broadcast subtraction, which cannot cancel, at BLAS speed.  For d>1 the
+    distance is the norm expansion ``|x|^2 + |theta|^2 - 2 x.theta`` clamped
     at zero.
     """
     n, d = x.shape[1:]
     m_particles = particles.shape[1]
     a2 = 2.0 * sigma2 + gamma2
     c2 = (gamma2 / a2) ** (d / 2.0)
-    pt = particles.transpose(0, 2, 1)  # (R, d, M)
     if d == 1:
-        np.subtract(x, pt, out=work)
+        np.matmul(_left_half(x[:, :, 0]), _right_half(particles[:, :, 0]), out=work)
         np.square(work, out=work)
     else:
-        np.matmul(x, pt, out=work)
+        np.matmul(x, particles.transpose(0, 2, 1), out=work)
         work *= -2.0
         work += np.einsum("rnd,rnd->rn", x, x)[:, :, None]
         work += np.einsum("rmd,rmd->rm", particles, particles)[:, None, :]
@@ -229,12 +265,14 @@ def _uniform_closed_grad_stack(
     the uniform density ``1/(2a)``.  Returns float64 (R, 1) gradients.
 
     ``work`` is the pair of (R, M, n) buffers from :func:`_workspace`; their
-    contents on entry are never read.
+    contents on entry are never read.  The difference ``theta + a - x`` is
+    the batched rank-2 matmul ``[theta + a, 1] @ [1; -x]``, exact as
+    described in :func:`_right_half`.
     """
     n = x.shape[1]
     m_particles = particles.shape[1]
     up, lo = work
-    np.subtract(particles[:, :, None] + half_width, x[:, None, :], out=up)
+    np.matmul(_left_half(particles + half_width), _right_half(x), out=up)
     np.subtract(up, 2.0 * half_width, out=lo)
     np.square(up, out=up)
     np.square(lo, out=lo)
@@ -493,6 +531,9 @@ def fit(
     d = data.shape[1]
     if d != model.dim:
         raise ValueError(f"data has dimension {d}, model has dim {model.dim}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"data row {bad[0]} is not finite")
     if kernel is None:
         kernel = GaussianKernel.default_for_dim(d)
     if config is None:
@@ -560,11 +601,18 @@ def fit_batched(
     returns the final ``(m, s)`` stacks.  Only the closed-form estimator is
     supported: it is the one cheap enough to justify batching.
 
-    The pairwise kernel arithmetic of every step is written into one
-    workspace allocated here, once per call, in ``dtype``: an (R, n, M)
-    buffer for the Gaussian model and two (R, M, n) buffers for the uniform
-    model.  Each step overwrites it completely, so reuse changes no result:
-    a float64 stack of one dataset reproduces :func:`fit` bit for bit.
+    Each step walks the stack in blocks of datasets, each block writing its
+    rows of the gradient.  A block holds as many datasets as fit their
+    :func:`_workspace` into ``BLOCK_BYTES`` (1 MiB), so the buffers stay in
+    a core's L2 cache for every pass after the first.  One block-sized
+    workspace is allocated here, once per call, and every block of every
+    step overwrites it.  No reduction crosses datasets, so blocking changes no result: a float64
+    stack of one dataset reproduces :func:`fit` bit for bit, and a stack
+    gives the same bits as fitting each dataset alone.
+
+    Data are clipped to ``dtype``'s finite range before the cast, so a
+    finite outlier beyond float32 range stays finite (its kernel weight is
+    zero either way).  Non-finite data raise ``ValueError``.
     """
     if config.estimator != CLOSED_FORM:
         raise ValueError("fit_batched supports the closed_form estimator only")
@@ -576,6 +624,9 @@ def fit_batched(
         raise ValueError("need one generator per dataset")
     if model.kind == UNIFORM and d != 1:
         raise ValueError("closed-form uniform gradients support dim=1 only")
+    bad = np.argwhere(~np.isfinite(data_stack).all(axis=2))
+    if bad.size:
+        raise ValueError(f"dataset {bad[0, 0]}, data row {bad[0, 1]} is not finite")
     m_particles = config.n_particles if config.n_particles is not None else n
     m_lo, m_hi = config.m_bounds
     s_lo, s_hi = config.s_bounds
@@ -583,23 +634,32 @@ def fit_batched(
     s = project_box(np.asarray(init_s, dtype=float).reshape(r, d), s_lo, s_hi)
     inv_beta = config.inv_beta
 
-    x = data_stack.astype(dtype)
-    work = _workspace(model.kind, r, n, m_particles, dtype)
+    big = float(np.finfo(dtype).max)
+    x = np.clip(data_stack, -big, big).astype(dtype, copy=False)
+    block = _block_size(model.kind, n, m_particles, dtype)
+    work = _workspace(model.kind, min(block, r), n, m_particles, dtype)
+    g_m = np.empty((r, d))
+    g_s = np.empty((r, d))
 
     for t in range(1, config.n_steps + 1):
         z = np.stack([rg.standard_normal((m_particles, d)) for rg in rngs])
         particles = (m[:, None, :] + s[:, None, :] * z).astype(dtype)
         zt = z.astype(dtype)
-        if model.kind == GAUSSIAN:
-            g_m, g_s = _gauss_closed_grad_stack(x, particles, zt, model.sigma2, kernel.gamma2, work)
-        else:
-            g_m, g_s = _uniform_closed_grad_stack(
-                x[:, :, 0], particles[:, :, 0], zt[:, :, 0],
-                kernel.gamma2, model.half_width, work,
-            )
+        for lo in range(0, r, block):
+            b = slice(lo, min(lo + block, r))
+            k = b.stop - lo
+            if model.kind == GAUSSIAN:
+                g_m[b], g_s[b] = _gauss_closed_grad_stack(
+                    x[b], particles[b], zt[b], model.sigma2, kernel.gamma2, work[:k]
+                )
+            else:
+                g_m[b], g_s[b] = _uniform_closed_grad_stack(
+                    x[b, :, 0], particles[b, :, 0], zt[b, :, 0], kernel.gamma2,
+                    model.half_width, (work[0][:k], work[1][:k]),
+                )
         if inv_beta != 0.0:
-            g_m = g_m + inv_beta * m
-            g_s = g_s + inv_beta * (s - 1.0 / s)
+            g_m += inv_beta * m
+            g_s += inv_beta * (s - 1.0 / s)
         eta = config.step_scale / math.sqrt(t)
         m = np.clip(m - eta * g_m, m_lo, m_hi)
         s = np.clip(s - eta * g_s, s_lo, s_hi)

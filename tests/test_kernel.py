@@ -113,6 +113,20 @@ def test_gram_sum_far_outlier_stays_finite(d):
     assert gram_sum(k, far, far) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("far", [1e200, 1e308])
+@pytest.mark.parametrize("d", [1, 3])
+def test_gram_far_point_has_unit_diagonal(d, far):
+    # a norm expansion gives inf - inf = nan on the diagonal at the far point
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((5, d))
+    x[-1] = far
+    with np.errstate(over="ignore"):
+        g = gram(GaussianKernel(1.0), x, x)
+    np.testing.assert_array_equal(np.diag(g), np.ones(5))
+    assert np.all(np.isfinite(g))
+    np.testing.assert_array_equal(g[-1, :-1], 0.0)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_gram_entries_bounded_and_symmetric(seed):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmdvi.kernel import GaussianKernel
 from mmdvi.models import GAUSSIAN, UNIFORM, ModelSpec, sample
@@ -14,7 +15,10 @@ from mmdvi.vi import (
     SHARED,
     FitConfig,
     MeanFieldGaussian,
+    _block_size,
     _gauss_closed_grad_stack,
+    _left_half,
+    _right_half,
     _uniform_closed_grad_stack,
     _workspace,
     fit,
@@ -394,6 +398,110 @@ def test_fit_batched_rejects_score_estimator():
             [np.random.default_rng(0)],
             np.zeros((1, 1)),
             np.ones((1, 1)),
+        )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize(
+    "model", [ModelSpec.gaussian(1), ModelSpec.uniform(1)], ids=["gaussian", "uniform"]
+)
+def test_fit_batched_blocks_match_single_runs(model, dtype):
+    r, n = 13, 200
+    block = _block_size(model.kind, n, n, dtype)
+    assert -(-r // block) >= 3  # at least three blocks, the last one partial if block > 1
+    rng = np.random.default_rng(60)
+    data = np.stack([sample(model, np.array([1.0]), n, rng) for _ in range(r)])
+    data[:, :10] = 8.0 + rng.standard_normal((r, 10, 1))
+    kernel = GaussianKernel.default_for_dim(1)
+    config = FitConfig.benchmark(n, 1, n_steps=6)
+    init_m = np.median(data, axis=1)
+    init_s = np.ones((r, 1))
+
+    def rngs(rows):
+        return [np.random.default_rng(np.random.SeedSequence((61, i))) for i in rows]
+
+    m, s = fit_batched(data, model, kernel, config, rngs(range(r)), init_m, init_s, dtype=dtype)
+    for i in range(r):
+        m1, s1 = fit_batched(
+            data[i : i + 1], model, kernel, config, rngs([i]),
+            init_m[i : i + 1], init_s[i : i + 1], dtype=dtype,
+        )
+        np.testing.assert_array_equal(m[i], m1[0])
+        np.testing.assert_array_equal(s[i], s1[0])
+
+
+@st.composite
+def _difference_operands(draw, dtype):
+    """Two (2, k) stacks of finite floats of at most half ``dtype``'s
+    largest magnitude, with signed zeros and subnormals among them."""
+    big = float(np.finfo(dtype).max) / 2.0
+    elements = st.floats(-big, big, width=np.finfo(dtype).bits) | st.sampled_from(
+        [0.0, -0.0, float(np.finfo(dtype).smallest_subnormal), big, -big]
+    )
+    p, q = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    a = draw(hnp.arrays(dtype, (2, p), elements=elements))
+    b = draw(hnp.arrays(dtype, (2, q), elements=elements))
+    return a, b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank2_difference_squares_like_subtract(dtype, data):
+    a, b = data.draw(_difference_operands(dtype))
+    with np.errstate(over="ignore", under="ignore"):
+        rank2 = np.square(np.matmul(_left_half(a), _right_half(b)))
+        direct = np.square(a[:, :, None] - b[:, None, :])
+    assert rank2.dtype == direct.dtype == dtype
+    np.testing.assert_array_equal(rank2, direct)
+    assert not np.any(np.signbit(rank2))
+
+
+def _with_row(value, kind):
+    rng = np.random.default_rng(62)
+    model = ModelSpec.gaussian(1) if kind == GAUSSIAN else ModelSpec.uniform(1)
+    data = np.stack([sample(model, np.array([2.0]), 50, rng) for _ in range(2)])
+    data[1, 7, 0] = value
+    return model, data
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, UNIFORM])
+def test_fit_batched_float32_outlier_beyond_range_stays_finite(kind):
+    # 1e300 is inf in float32; clipped to the float32 maximum, its kernel
+    # weight is exactly zero, as it is for an outlier at 1e38
+    results = []
+    for value in (1e300, 1e38):
+        model, data = _with_row(value, kind)
+        rngs = [np.random.default_rng(63 + i) for i in range(2)]
+        config = FitConfig.benchmark(50, 1, n_steps=40)
+        results.append(fit_batched(
+            data, model, GaussianKernel(1.0), config, rngs,
+            np.median(data, axis=1), np.ones((2, 1)), dtype=np.float32,
+        ))
+    (m_far, s_far), (m_near, s_near) = results
+    assert np.all(np.isfinite(m_far)) and np.all(np.isfinite(s_far))
+    np.testing.assert_array_equal(m_far, m_near)
+    np.testing.assert_array_equal(s_far, s_near)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_non_finite_row(bad):
+    data = np.zeros((30, 2))
+    data[4, 1] = bad
+    with pytest.raises(ValueError, match=r"data row 4 is not finite"):
+        fit(data, ModelSpec.gaussian(2), config=FitConfig(n_steps=2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [GAUSSIAN, UNIFORM])
+def test_fit_batched_rejects_non_finite_row(kind, bad):
+    model, data = _with_row(1.0, kind)
+    data[1, 9, 0] = bad
+    data[1, 12, 0] = math.nan
+    with pytest.raises(ValueError, match=r"dataset 1, data row 9 is not finite"):
+        fit_batched(
+            data, model, GaussianKernel(1.0), FitConfig(n_steps=2),
+            [np.random.default_rng(i) for i in range(2)], np.zeros((2, 1)), np.ones((2, 1)),
         )
 
 
