@@ -150,6 +150,7 @@ def uniform_point_expectation(
     return float(out[0]) if single else out
 
 
+@lru_cache(maxsize=8)
 def uniform_pair_expectation(
     kernel: GaussianKernel,
     model: ModelSpec,
@@ -159,7 +160,8 @@ def uniform_pair_expectation(
 
     Location-free: substituting ``X = theta + a U`` shows the double integral
     depends only on the half-width.  Computed per coordinate on a tensor
-    Legendre grid and raised to the ``dim`` power.
+    Legendre grid, raised to the ``dim`` power, and cached: a fit asks for it
+    on every step, and the frozen kernel and model hash by value.
     """
     if model.kind != UNIFORM:
         raise ValueError("uniform_pair_expectation requires a uniform model")

@@ -9,6 +9,9 @@ standard Gaussian prior.  Up to a data-only constant the objective is
 
 minimised by projected stochastic gradient descent on ``(m, s)`` with steps
 ``eta_t = step_scale / sqrt(t)`` and box projections keeping ``s`` positive.
+One step loop, over a stack of datasets, serves both entries: :func:`fit`
+runs it on one dataset in float64 with a recorder filling the trace, and
+:func:`fit_batched` runs it on a stack, optionally in float32, unrecorded.
 
 Two gradient estimators are provided, both using reparameterised particles
 ``theta_k = m + s * z_k``:
@@ -31,21 +34,16 @@ Two gradient estimators are provided, both using reparameterised particles
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import GaussianKernel, gaussian_embedding_inner, point_embedding_inner, self_sq
+from .kernel import GaussianKernel, self_sq
 from .mmd import data_kernel_term, mmd2_model_vs_empirical
-from .models import (
-    GAUSSIAN,
-    UNIFORM,
-    ModelSpec,
-    sample,
-    uniform_pair_expectation,
-    uniform_point_expectation,
-)
+from .models import (GAUSSIAN, UNIFORM, ModelSpec, uniform_pair_expectation,
+                     uniform_point_expectation)
 
 CLOSED_FORM = "closed_form"
 SCORE = "score"
@@ -149,12 +147,6 @@ class FitConfig:
 class GradEstimate(NamedTuple):
     g_m: np.ndarray
     g_s: np.ndarray
-
-
-def _regularizer_grads(q: MeanFieldGaussian, inv_beta: float) -> GradEstimate:
-    """KL-term gradients ``m / beta`` and ``(s - 1/s) / beta``; exact zeros at
-    the infinite-beta sentinel."""
-    return GradEstimate(inv_beta * q.m, inv_beta * (q.s - 1.0 / q.s))
 
 
 # Upper bound on one block's workspace in :func:`fit_batched`: small enough to
@@ -287,9 +279,7 @@ def _uniform_closed_grad_stack(
     return g_m[:, None], g_s[:, None]
 
 
-def _score_weights(
-    kernel: GaussianKernel, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
+def _score_weights(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """U-statistic kernel weights ``(1/(M-1)) sum_{l != j} k(Y_j, Y_l) -
     (1/n) sum_i k(X_i, Y_j)`` for a synthetic sample ``y`` of shape (M, d)."""
     m = y.shape[0]
@@ -302,6 +292,89 @@ def _score_weights(
     np.maximum(sq, 0.0, out=sq)
     kxy = np.exp(-sq / kernel.gamma2)
     return within - kxy.mean(axis=0)
+
+
+def _score_grads(x, m, s, particles, z, sigma2, kernel, sample_mode, rngs, g_m, g_s) -> None:
+    """Score-estimator data-term gradients, written into the rows of ``g_m``
+    and ``g_s`` as in :func:`_grads`.  Each dataset draws its synthetic
+    samples from its own generator, after its particles."""
+    m_particles, d = z.shape[1:]
+    c = 2.0 / (m_particles**2 * sigma2)
+    for i, rng in enumerate(rngs):
+        if sample_mode == SHARED:
+            y = m[i] + math.sqrt(sigma2) * rng.standard_normal((m_particles, d))
+            w = _score_weights(kernel, x[i], y)
+            sw = w.sum()
+            z_sum = z[i].sum(axis=0)
+            z_sq_sum = (z[i] * z[i]).sum(axis=0)
+            wy = w @ (y - m[i])  # (d,)
+            g_m[i] = c * (m_particles * wy - sw * (s[i] * z_sum))
+            g_s[i] = c * (z_sum * wy - sw * (s[i] * z_sq_sum))
+        else:  # per-particle synthetic samples
+            gm, gs = np.zeros(d), np.zeros(d)
+            for k in range(m_particles):
+                theta = particles[i, k]
+                y = theta + math.sqrt(sigma2) * rng.standard_normal((m_particles, d))
+                contrib = _score_weights(kernel, x[i], y) @ (y - theta)
+                gm += contrib
+                gs += z[i, k] * contrib
+            g_m[i] = c * gm
+            g_s[i] = c * gs
+
+
+def _n_particles(model: ModelSpec, config: FitConfig, n: int) -> int:
+    """``M`` for data of ``n`` points, once the estimator is known to have a
+    gradient for the model."""
+    if config.estimator == SCORE and model.kind != GAUSSIAN:
+        raise ValueError(
+            "the score estimator needs a differentiable log-density; "
+            "use the closed_form estimator for the uniform model"
+        )
+    if model.kind == UNIFORM and model.dim != 1:
+        raise ValueError("closed-form uniform gradients support dim=1 only")
+    m_particles = config.n_particles if config.n_particles is not None else n
+    if m_particles < 2:
+        raise ValueError("need at least 2 particles")
+    return m_particles
+
+
+def _grads(x, m, s, model, kernel, config, rngs, work, g_m, g_s) -> None:
+    """One stochastic gradient of the objective per dataset of an (R, n, d)
+    stack ``x``, written into the rows of the float64 (R, d) ``g_m`` and
+    ``g_s``.  Each dataset draws its particles from its own generator.  The
+    closed-form kernels run in ``x``'s dtype, a block of as many datasets as
+    ``work`` (from :func:`_workspace`) holds at a time; no reduction crosses
+    datasets, so blocking changes no result.  The score estimator leaves
+    ``work`` unused.  The regulariser gradients ``m / beta`` and
+    ``(s - 1/s) / beta`` are added last.
+    """
+    r, n, d = x.shape
+    m_particles = _n_particles(model, config, n)
+    z = np.stack([rg.standard_normal((m_particles, d)) for rg in rngs])
+    particles = m[:, None, :] + s[:, None, :] * z
+    if config.estimator == SCORE:
+        _score_grads(x, m, s, particles, z, model.sigma2, kernel, config.sample_mode, rngs,
+                     g_m, g_s)
+    else:
+        particles = particles.astype(x.dtype, copy=False)
+        z = z.astype(x.dtype, copy=False)
+        block = len(work[0] if model.kind == UNIFORM else work)
+        for lo in range(0, r, block):
+            b = slice(lo, min(lo + block, r))
+            k = b.stop - lo
+            if model.kind == GAUSSIAN:
+                g_m[b], g_s[b] = _gauss_closed_grad_stack(
+                    x[b], particles[b], z[b], model.sigma2, kernel.gamma2, work[:k]
+                )
+            else:
+                g_m[b], g_s[b] = _uniform_closed_grad_stack(
+                    x[b, :, 0], particles[b, :, 0], z[b, :, 0], kernel.gamma2,
+                    model.half_width, (work[0][:k], work[1][:k]),
+                )
+    inv_beta = config.inv_beta
+    if inv_beta != 0.0:
+        g_m += inv_beta * m
+        g_s += inv_beta * (s - 1.0 / s)
 
 
 def grad_estimate(
@@ -317,7 +390,8 @@ def grad_estimate(
     Draws ``M = config.n_particles`` (default: the sample size) standard
     normal particles, applies the configured estimator, and adds the
     regulariser gradients.  Consumes the generator; call with a fresh seeded
-    generator for reproducible draws.
+    generator for reproducible draws.  This is one step's gradient of the
+    loop behind :func:`fit`, with a workspace of its own.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -325,58 +399,10 @@ def grad_estimate(
     n, d = data.shape
     if d != model.dim or q.dim != model.dim:
         raise ValueError("data, model, and q must agree on the dimension")
-    m_particles = config.n_particles if config.n_particles is not None else n
-    if m_particles < 2:
-        raise ValueError("need at least 2 particles")
-    z = rng.standard_normal((m_particles, d))
-    particles = q.m + q.s * z
-
-    if config.estimator == CLOSED_FORM:
-        work = _workspace(model.kind, 1, n, m_particles, np.float64)
-        if model.kind == GAUSSIAN:
-            g_m, g_s = _gauss_closed_grad_stack(
-                data[None], particles[None], z[None], model.sigma2, kernel.gamma2, work
-            )
-        else:
-            if model.dim != 1:
-                raise ValueError("closed-form uniform gradients support dim=1 only")
-            g_m, g_s = _uniform_closed_grad_stack(
-                data[None, :, 0], particles[None, :, 0], z[None, :, 0],
-                kernel.gamma2, model.half_width, work,
-            )
-        g_m, g_s = g_m[0], g_s[0]
-    else:  # score estimator
-        if model.kind != GAUSSIAN:
-            raise ValueError(
-                "the score estimator needs a differentiable log-density; "
-                "use the closed_form estimator for the uniform model"
-            )
-        sigma2 = model.sigma2
-        if config.sample_mode == SHARED:
-            y = q.m + math.sqrt(sigma2) * rng.standard_normal((m_particles, d))
-            w = _score_weights(kernel, data, y)
-            sw = w.sum()
-            z_sum = z.sum(axis=0)
-            z_sq_sum = (z * z).sum(axis=0)
-            wy = w @ (y - q.m)  # (d,)
-            c = 2.0 / (m_particles**2 * sigma2)
-            g_m = c * (m_particles * wy - sw * (q.s * z_sum))
-            g_s = c * (z_sum * wy - sw * (q.s * z_sq_sum))
-        else:  # per-particle synthetic samples
-            g_m = np.zeros(d)
-            g_s = np.zeros(d)
-            for k in range(m_particles):
-                y = particles[k] + math.sqrt(sigma2) * rng.standard_normal((m_particles, d))
-                w = _score_weights(kernel, data, y)
-                contrib = w @ (y - particles[k])
-                g_m += contrib
-                g_s += z[k] * contrib
-            c = 2.0 / (m_particles**2 * sigma2)
-            g_m *= c
-            g_s *= c
-
-    reg = _regularizer_grads(q, config.inv_beta)
-    return GradEstimate(g_m + reg.g_m, g_s + reg.g_s)
+    work = _workspace(model.kind, 1, n, _n_particles(model, config, n), np.float64)
+    g_m, g_s = np.empty((1, d)), np.empty((1, d))
+    _grads(data[None], q.m[None], q.s[None], model, kernel, config, [rng], work, g_m, g_s)
+    return GradEstimate(g_m[0], g_s[0])
 
 
 def objective_mc(
@@ -389,7 +415,7 @@ def objective_mc(
 ) -> float:
     """Monte-Carlo estimate of the variational objective at ``q``.
 
-    Averages the exact model-vs-data squared MMD over ``M`` reparameterised
+    Averages :func:`mmd2_model_vs_empirical` over ``M`` reparameterised
     particles and adds the regulariser.  Unbiased in the particle draw; the
     inner expectations are exact (closed form or quadrature).  Deterministic
     under ``config.seed`` when no generator is supplied.
@@ -404,18 +430,9 @@ def objective_mc(
     z = rng.standard_normal((m_particles, q.dim))
     particles = q.m + q.s * z
     dterm = data_kernel_term(kernel, data)
-    if model.kind == GAUSSIAN:
-        pair = gaussian_embedding_inner(kernel, np.zeros(q.dim), np.zeros(q.dim), model.sigma2)
-        cross = np.empty(m_particles)
-        for k in range(m_particles):
-            cross[k] = float(np.mean(point_embedding_inner(kernel, data, particles[k], model.sigma2)))
-    else:
-        pair = uniform_pair_expectation(kernel, model)
-        cross = np.empty(m_particles)
-        for k in range(m_particles):
-            cross[k] = float(np.mean(uniform_point_expectation(kernel, model, particles[k], data)))
-    value = pair - 2.0 * float(cross.mean()) + dterm
-    return value + config.inv_beta * kl_to_standard_prior(q)
+    value = np.mean([mmd2_model_vs_empirical(kernel, model, p, data, data_term=dterm).value
+                     for p in particles])
+    return float(value) + config.inv_beta * kl_to_standard_prior(q)
 
 
 def objective_exact(
@@ -437,7 +454,6 @@ def objective_exact(
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    n = data.shape[0]
     inv_beta = 0.0 if math.isinf(beta_log) else math.exp(-beta_log)
     dterm = data_kernel_term(kernel, data)
     if model.kind == GAUSSIAN:
@@ -494,17 +510,57 @@ class FitResult:
     config: FitConfig
 
 
-def _plug_in_objective(
-    kernel: GaussianKernel,
-    model: ModelSpec,
-    m: np.ndarray,
-    data: np.ndarray,
-    data_term: float,
-    q: MeanFieldGaussian,
-    inv_beta: float,
-) -> float:
-    est = mmd2_model_vs_empirical(kernel, model, m, data, data_term=data_term)
-    return est.value + inv_beta * kl_to_standard_prior(q)
+def _run(x, model, kernel, config, rngs, init_m, init_s, dtype, record=None):
+    """The projected SGD loop behind :func:`fit` and :func:`fit_batched`.
+
+    ``x`` is a finite float64 (R, n, d) stack with one generator per dataset
+    and an (R, d) start ``init_m``, ``init_s``, projected into the boxes
+    here; returns the final ``(m, s)``.  The kernels run in ``dtype`` on one
+    workspace that every step overwrites.  The data are clipped to
+    ``+-sqrt(finfo(dtype).max / (4 d))`` first, so ``|x|^2 + |theta|^2``
+    stays finite; a clipped row's kernel weight is exactly zero either way.
+    ``record(t, m, s, g_m, g_s)``, if given, sees the (R, d) state after
+    ``t`` updates and the gradient applied at step ``t`` (``None`` at t=0).
+    One ``RuntimeWarning`` counts the projections (the start's included)
+    that moved ``m``, naming the first dataset so clamped in a stack.
+    """
+    r, n, d = x.shape
+    m_particles = _n_particles(model, config, n)
+    m_lo, m_hi = config.m_bounds
+    s_lo, s_hi = config.s_bounds
+    start = np.asarray(init_m, dtype=float).reshape(r, d)
+    m = np.clip(start, m_lo, m_hi)
+    clamps = (m != start).any(axis=1).astype(int)
+    s = np.clip(np.asarray(init_s, dtype=float).reshape(r, d), s_lo, s_hi)
+
+    big = math.sqrt(float(np.finfo(dtype).max) / (4 * d))
+    x = np.clip(x, -big, big).astype(dtype, copy=False)
+    block = _block_size(model.kind, n, m_particles, dtype)
+    work = _workspace(model.kind, min(block, r), n, m_particles, dtype)
+    g_m, g_s = np.empty((r, d)), np.empty((r, d))
+    if record is not None:
+        record(0, m, s, None, None)
+
+    for t in range(1, config.n_steps + 1):
+        _grads(x, m, s, model, kernel, config, rngs, work, g_m, g_s)
+        eta = config.step_scale / math.sqrt(t)
+        step = m - eta * g_m
+        m = np.clip(step, m_lo, m_hi)
+        clamps += (m != step).any(axis=1)
+        s = np.clip(s - eta * g_s, s_lo, s_hi)
+        if record is not None:
+            record(t, m, s, g_m, g_s)
+    hit = np.flatnonzero(clamps)
+    if hit.size:
+        where = f"in {hit.size} of {r} datasets, first dataset {hit[0]} " if r > 1 else ""
+        warnings.warn(
+            f"m_bounds {config.m_bounds} clamped m {where}on {clamps[hit[0]]} of "
+            f"{config.n_steps + 1} projections (the start's included); "
+            "the estimate may sit on the box edge",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return m, s
 
 
 def fit(
@@ -522,6 +578,10 @@ def fit(
     componentwise median of the data (a cheap robust start), ``s`` at one,
     both projected into their boxes before the first step.  With the same
     data, config, and seed the trace is reproduced bit for bit.
+
+    The loop is :func:`_run` on a float64 stack of this one dataset, with a
+    recorder filling the :class:`FitTrace`; only this entry runs the score
+    estimator.  A ``RuntimeWarning`` says when the m-box clamped ``m``.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -534,51 +594,32 @@ def fit(
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"data row {bad[0]} is not finite")
-    if kernel is None:
-        kernel = GaussianKernel.default_for_dim(d)
-    if config is None:
-        config = FitConfig()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-
-    m_lo, m_hi = config.m_bounds
-    s_lo, s_hi = config.s_bounds
+    kernel = kernel or GaussianKernel.default_for_dim(d)
+    config = config or FitConfig()
+    rng = rng or np.random.default_rng(config.seed)
     if init is None:
-        m = project_box(np.median(data, axis=0), m_lo, m_hi)
-        s = project_box(np.ones(d), s_lo, s_hi)
-    else:
-        if init.dim != d:
-            raise ValueError(f"init has dim {init.dim}, expected {d}")
-        m = project_box(init.m, m_lo, m_hi)
-        s = project_box(init.s, s_lo, s_hi)
+        init = MeanFieldGaussian(m=np.median(data, axis=0), s=np.ones(d))
+    elif init.dim != d:
+        raise ValueError(f"init has dim {init.dim}, expected {d}")
 
-    steps = config.n_steps
-    trace = FitTrace(
-        t=np.arange(steps + 1),
-        m=np.empty((steps + 1, d)),
-        s=np.empty((steps + 1, d)),
-        objective=np.empty(steps + 1),
-        grad_norm_m=np.full(steps + 1, math.nan),
-        grad_norm_s=np.full(steps + 1, math.nan),
-    )
+    rows = config.n_steps + 1
+    trace = FitTrace(t=np.arange(rows), m=np.empty((rows, d)), s=np.empty((rows, d)),
+                     objective=np.empty(rows), grad_norm_m=np.full(rows, math.nan),
+                     grad_norm_s=np.full(rows, math.nan))
     dterm = data_kernel_term(kernel, data)
     inv_beta = config.inv_beta
-    q = MeanFieldGaussian(m=m, s=s)
-    trace.m[0], trace.s[0] = m, s
-    trace.objective[0] = _plug_in_objective(kernel, model, m, data, dterm, q, inv_beta)
 
-    for t in range(1, steps + 1):
-        g = grad_estimate(q, data, model, kernel, config, rng)
-        eta = config.step_scale / math.sqrt(t)
-        m = project_box(m - eta * g.g_m, m_lo, m_hi)
-        s = project_box(s - eta * g.g_s, s_lo, s_hi)
-        q = MeanFieldGaussian(m=m, s=s)
-        trace.m[t], trace.s[t] = m, s
-        trace.grad_norm_m[t] = float(np.linalg.norm(g.g_m))
-        trace.grad_norm_s[t] = float(np.linalg.norm(g.g_s))
-        trace.objective[t] = _plug_in_objective(kernel, model, m, data, dterm, q, inv_beta)
+    def record(t, m, s, g_m, g_s):
+        q = MeanFieldGaussian(m=m[0], s=s[0])
+        trace.m[t], trace.s[t] = q.m, q.s
+        if g_m is not None:
+            trace.grad_norm_m[t] = float(np.linalg.norm(g_m[0]))
+            trace.grad_norm_s[t] = float(np.linalg.norm(g_s[0]))
+        est = mmd2_model_vs_empirical(kernel, model, q.m, data, data_term=dterm)
+        trace.objective[t] = est.value + inv_beta * kl_to_standard_prior(q)
 
-    return FitResult(q=q, trace=trace, config=config)
+    m, s = _run(data[None], model, kernel, config, [rng], init.m, init.s, np.float64, record)
+    return FitResult(q=MeanFieldGaussian(m=m[0], s=s[0]), trace=trace, config=config)
 
 
 def fit_batched(
@@ -601,18 +642,14 @@ def fit_batched(
     returns the final ``(m, s)`` stacks.  Only the closed-form estimator is
     supported: it is the one cheap enough to justify batching.
 
-    Each step walks the stack in blocks of datasets, each block writing its
-    rows of the gradient.  A block holds as many datasets as fit their
-    :func:`_workspace` into ``BLOCK_BYTES`` (1 MiB), so the buffers stay in
-    a core's L2 cache for every pass after the first.  One block-sized
-    workspace is allocated here, once per call, and every block of every
-    step overwrites it.  No reduction crosses datasets, so blocking changes no result: a float64
+    The loop is :func:`_run`, the one behind :func:`fit`, with no recorder.
+    Each step walks the stack in blocks of as many datasets as fit their
+    :func:`_workspace` into ``BLOCK_BYTES`` (1 MiB), so the one block-sized
+    workspace, allocated once per call, stays in a core's L2 cache.  No
+    reduction crosses datasets, so blocking changes no result: a float64
     stack of one dataset reproduces :func:`fit` bit for bit, and a stack
-    gives the same bits as fitting each dataset alone.
-
-    Data are clipped to ``dtype``'s finite range before the cast, so a
-    finite outlier beyond float32 range stays finite (its kernel weight is
-    zero either way).  Non-finite data raise ``ValueError``.
+    gives the same bits as fitting each dataset alone.  Far outliers are
+    clipped (see :func:`_run`); non-finite data raise ``ValueError``.
     """
     if config.estimator != CLOSED_FORM:
         raise ValueError("fit_batched supports the closed_form estimator only")
@@ -622,45 +659,7 @@ def fit_batched(
         raise ValueError(f"data has dimension {d}, model has dim {model.dim}")
     if len(rngs) != r:
         raise ValueError("need one generator per dataset")
-    if model.kind == UNIFORM and d != 1:
-        raise ValueError("closed-form uniform gradients support dim=1 only")
     bad = np.argwhere(~np.isfinite(data_stack).all(axis=2))
     if bad.size:
         raise ValueError(f"dataset {bad[0, 0]}, data row {bad[0, 1]} is not finite")
-    m_particles = config.n_particles if config.n_particles is not None else n
-    m_lo, m_hi = config.m_bounds
-    s_lo, s_hi = config.s_bounds
-    m = project_box(np.asarray(init_m, dtype=float).reshape(r, d), m_lo, m_hi)
-    s = project_box(np.asarray(init_s, dtype=float).reshape(r, d), s_lo, s_hi)
-    inv_beta = config.inv_beta
-
-    big = float(np.finfo(dtype).max)
-    x = np.clip(data_stack, -big, big).astype(dtype, copy=False)
-    block = _block_size(model.kind, n, m_particles, dtype)
-    work = _workspace(model.kind, min(block, r), n, m_particles, dtype)
-    g_m = np.empty((r, d))
-    g_s = np.empty((r, d))
-
-    for t in range(1, config.n_steps + 1):
-        z = np.stack([rg.standard_normal((m_particles, d)) for rg in rngs])
-        particles = (m[:, None, :] + s[:, None, :] * z).astype(dtype)
-        zt = z.astype(dtype)
-        for lo in range(0, r, block):
-            b = slice(lo, min(lo + block, r))
-            k = b.stop - lo
-            if model.kind == GAUSSIAN:
-                g_m[b], g_s[b] = _gauss_closed_grad_stack(
-                    x[b], particles[b], zt[b], model.sigma2, kernel.gamma2, work[:k]
-                )
-            else:
-                g_m[b], g_s[b] = _uniform_closed_grad_stack(
-                    x[b, :, 0], particles[b, :, 0], zt[b, :, 0], kernel.gamma2,
-                    model.half_width, (work[0][:k], work[1][:k]),
-                )
-        if inv_beta != 0.0:
-            g_m += inv_beta * m
-            g_s += inv_beta * (s - 1.0 / s)
-        eta = config.step_scale / math.sqrt(t)
-        m = np.clip(m - eta * g_m, m_lo, m_hi)
-        s = np.clip(s - eta * g_s, s_lo, s_hi)
-    return m, s
+    return _run(data_stack, model, kernel, config, rngs, init_m, init_s, dtype)

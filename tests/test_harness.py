@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmdvi.harness import (
+    BASELINES,
     DEFAULT_EPSILONS,
     MMD_METHOD,
     PROBLEMS,
@@ -104,6 +105,17 @@ def test_baseline_validation():
         baseline("mean", np.empty((0, 1)))
     with pytest.raises(ValueError):
         baseline("mean", np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("problem", ["gauss1d", "gauss15d", "uniform"])
+def test_baselines_on_a_stack_match_each_dataset_bitwise(problem):
+    spec = PROBLEMS[problem].contamination(0.1)
+    data = np.stack([generate(spec, 200, trial_rng(5, 4, rep)) for rep in range(7)])
+    for name, estimator in BASELINES.items():
+        stacked = estimator(data)
+        looped = np.stack([baseline(name, data[r]) for r in range(len(data))])
+        assert stacked.shape == looped.shape == (7, data.shape[2])
+        assert stacked.tobytes() == looped.tobytes(), name
 
 
 def test_baselines_are_permutation_invariant():

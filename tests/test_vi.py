@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mmdvi.kernel import GaussianKernel
+from mmdvi.mmd import data_kernel_term, mmd2_model_vs_empirical
 from mmdvi.models import GAUSSIAN, UNIFORM, ModelSpec, sample
 from mmdvi.vi import (
     CLOSED_FORM,
@@ -301,12 +303,45 @@ def test_fit_respects_boxes():
     config = FitConfig.benchmark(
         30, 1, n_steps=60, m_bounds=(-0.5, 0.5), s_bounds=(0.2, 0.8)
     )
-    res = fit(data, model, config=config)
+    with pytest.warns(RuntimeWarning, match=r"m_bounds \(-0\.5, 0\.5\) clamped m on \d+ of 61 "):
+        res = fit(data, model, config=config)
     tr = res.trace
     assert np.all(tr.m >= -0.5) and np.all(tr.m <= 0.5)
     assert np.all(tr.s >= 0.2) and np.all(tr.s <= 0.8)
     # the optimum sits beyond the box, so the iterate pins to the edge
     assert res.q.m[0] == 0.5
+
+
+def test_fit_warns_when_the_default_m_box_clamps():
+    rng = np.random.default_rng(9)
+    model = ModelSpec.gaussian(1)
+    data = sample(model, np.array([2.0]), 50, rng)
+    config = FitConfig.benchmark(50, 1, n_steps=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(data, model, config=config)  # inside the box: no warning
+    # the start is clamped from the median ~1e7 to 1e6, where the kernel
+    # weights vanish and no step moves m again
+    with pytest.warns(RuntimeWarning, match=r"clamped m on 1 of 21 projections") as caught:
+        res = fit(data + 1e7, model, config=config)
+    assert len(caught) == 1
+    assert res.q.m[0] == 1e6
+
+
+def test_fit_batched_clamp_warning_names_the_first_dataset():
+    model = ModelSpec.gaussian(1)
+    rng = np.random.default_rng(10)
+    data = np.stack([sample(model, np.array([2.0]), 30, rng) for _ in range(4)])
+    data[2] -= 1e7
+    data[3] += 1e7
+    with pytest.warns(RuntimeWarning, match=r"in 2 of 4 datasets, first dataset 2 on 1 of 6 "):
+        m, _ = fit_batched(
+            data, model, GaussianKernel(1.0), FitConfig.benchmark(30, 1, n_steps=5),
+            [np.random.default_rng(i) for i in range(4)], np.median(data, axis=1),
+            np.ones((4, 1)),
+        )
+    # clamped at the start; the regulariser then pulls m a hair inside
+    np.testing.assert_allclose(m[2:, 0], [-1e6, 1e6], rtol=1e-9)
 
 
 def test_fit_validation():
@@ -484,6 +519,27 @@ def test_fit_batched_float32_outlier_beyond_range_stays_finite(kind):
     np.testing.assert_array_equal(s_far, s_near)
 
 
+def test_fit_batched_float32_far_outlier_at_d15_stays_finite():
+    # |x|^2 of a row at 1e38 (or 1e300, inf once cast) overflows float32;
+    # both are clipped to the same bound, where the kernel weight is zero
+    results = []
+    rng = np.random.default_rng(64)
+    clean = np.stack([sample(ModelSpec.gaussian(15), np.full(15, 2.0), 50, rng) for _ in range(2)])
+    for value in (1e300, 1e38):
+        data = clean.copy()
+        data[1, 7] = value
+        rngs = [np.random.default_rng(65 + i) for i in range(2)]
+        results.append(fit_batched(
+            data, ModelSpec.gaussian(15), GaussianKernel(15.0),
+            FitConfig.benchmark(50, 15, n_steps=20), rngs,
+            np.median(data, axis=1), np.ones((2, 15)), dtype=np.float32,
+        ))
+    (m_far, s_far), (m_near, s_near) = results
+    assert np.all(np.isfinite(m_far)) and np.all(np.isfinite(s_far))
+    np.testing.assert_array_equal(m_far, m_near)
+    np.testing.assert_array_equal(s_far, s_near)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_fit_rejects_non_finite_row(bad):
     data = np.zeros((30, 2))
@@ -638,3 +694,108 @@ def test_fit_recovers_clean_gaussian_mean():
         data = sample(model, np.array([2.0]), 100, rng)
         res = fit(data, model, config=config, rng=rng)
         assert abs(res.q.m[0] - 2.0) < 0.25, (seed, res.q.m)
+
+
+def _reference_fit(data, model, kernel, config, rng):
+    """The step loop :func:`fit` ran before it shared :func:`fit_batched`'s:
+    one :func:`grad_estimate` per step, then :func:`project_box`, then the
+    plug-in objective."""
+    m = project_box(np.median(data, axis=0), *config.m_bounds)
+    s = project_box(np.ones(data.shape[1]), *config.s_bounds)
+    dterm = data_kernel_term(kernel, data)
+
+    def row(m, s, g):
+        q = MeanFieldGaussian(m=m, s=s)
+        est = mmd2_model_vs_empirical(kernel, model, m, data, data_term=dterm)
+        norms = (np.linalg.norm(g.g_m), np.linalg.norm(g.g_s)) if g else (math.nan, math.nan)
+        return m, s, est.value + config.inv_beta * kl_to_standard_prior(q), *norms
+
+    rows = [row(m, s, None)]
+    for t in range(1, config.n_steps + 1):
+        g = grad_estimate(MeanFieldGaussian(m=m, s=s), data, model, kernel, config, rng)
+        eta = config.step_scale / math.sqrt(t)
+        m = project_box(m - eta * g.g_m, *config.m_bounds)
+        s = project_box(s - eta * g.g_s, *config.s_bounds)
+        rows.append(row(m, s, g))
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize(
+    "model, overrides",
+    [
+        (ModelSpec.gaussian(1), {}),
+        (ModelSpec.uniform(1), {}),
+        (ModelSpec.gaussian(1), {"estimator": SCORE, "n_particles": 10, "n_steps": 15}),
+    ],
+    ids=["gaussian", "uniform", "score-per-particle"],
+)
+def test_fit_trace_matches_reference_loop_bitwise(model, overrides):
+    rng = np.random.default_rng(70)
+    data = sample(model, np.array([1.0]), 40, rng)
+    data[:4] = 6.0 + rng.standard_normal((4, 1))
+    kernel = GaussianKernel.default_for_dim(1)
+    config = FitConfig.benchmark(40, 1, **{"n_steps": 40, **overrides})
+    res = fit(data, model, kernel, config, rng=np.random.default_rng(71))
+    ref = _reference_fit(data, model, kernel, config, np.random.default_rng(71))
+    tr = res.trace
+    for got, want in zip((tr.m, tr.s, tr.objective, tr.grad_norm_m, tr.grad_norm_s), ref):
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+_MODELS_1D = st.sampled_from([ModelSpec.gaussian(1), ModelSpec.uniform(1)])
+
+
+def _small_fit(data, model, seed=80):
+    config = FitConfig.benchmark(data.shape[0], 1, n_steps=60)
+    return fit(data, model, config=config, rng=np.random.default_rng(seed))
+
+
+def _draw_data(model, seed, n=50):
+    return sample(model, np.array([1.0]), n, np.random.default_rng(seed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=_MODELS_1D, seed=st.integers(0, 2**32 - 1))
+def test_fit_is_permutation_invariant(model, seed):
+    data = _draw_data(model, seed)
+    perm = np.random.default_rng(seed).permutation(len(data))
+    a, b = _small_fit(data, model), _small_fit(data[perm], model)
+    np.testing.assert_allclose(b.q.m, a.q.m, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(b.q.s, a.q.s, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=_MODELS_1D, seed=st.integers(0, 2**32 - 1), shift=st.floats(-1e5, 1e5))
+def test_fit_is_translation_equivariant_property(model, seed, shift):
+    data = _draw_data(model, seed)
+    base, moved = _small_fit(data, model), _small_fit(data + shift, model)
+    assert abs((moved.q.m[0] - shift) - base.q.m[0]) < 1e-9
+
+
+_OUTLIERS = st.floats(1.0, 1e308) | st.sampled_from([1e38, 1e154, 1e308])
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=_MODELS_1D, seed=st.integers(0, 2**32 - 1), size=_OUTLIERS, sign=st.sampled_from([-1.0, 1.0]))
+def test_fit_one_outlier_of_any_size_stays_finite(model, seed, size, sign):
+    data = _draw_data(model, seed)
+    data[3, 0] = sign * size
+    res = _small_fit(data, model)
+    assert np.all(np.isfinite(res.q.m)) and np.all(np.isfinite(res.q.s))
+    assert np.all(np.isfinite(res.trace.objective))
+
+
+@pytest.mark.parametrize("d", [1, 15])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=_OUTLIERS, sign=st.sampled_from([-1.0, 1.0]))
+def test_fit_batched_float32_one_outlier_of_any_size_stays_finite(d, seed, size, sign):
+    model = ModelSpec.gaussian(d)
+    rng = np.random.default_rng(seed)
+    data = np.stack([sample(model, np.full(d, 1.0), 50, rng) for _ in range(2)])
+    data[1, 3] = sign * size
+    m, s = fit_batched(
+        data, model, GaussianKernel.default_for_dim(d), FitConfig.benchmark(50, d, n_steps=20),
+        [np.random.default_rng((seed, i)) for i in range(2)], np.median(data, axis=1),
+        np.ones((2, d)), dtype=np.float32,
+    )
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(s))
