@@ -85,13 +85,15 @@ def _gram_block(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndar
 
     The squared distance is summed from per-coordinate differences
     ``(x_j - y_j)^2``, which cannot cancel and stay finite-or-inf for any
-    finite input, so ``k(x, x)`` is exactly 1 however far ``x`` lies.
+    finite input, so ``k(x, x)`` is exactly 1 however far ``x`` lies.  A
+    distance overflowing to inf gives exactly 0, silently, as intended.
     """
-    sq = x[:, :1] - y[:, 0]
-    np.square(sq, out=sq)
-    for j in range(1, x.shape[1]):
-        diff = x[:, j : j + 1] - y[:, j]
-        sq += np.square(diff, out=diff)
+    with np.errstate(over="ignore"):
+        sq = x[:, :1] - y[:, 0]
+        np.square(sq, out=sq)
+        for j in range(1, x.shape[1]):
+            diff = x[:, j : j + 1] - y[:, j]
+            sq += np.square(diff, out=diff)
     np.divide(sq, -kernel.gamma2, out=sq)
     return np.exp(sq, out=sq)
 

@@ -145,8 +145,10 @@ def uniform_point_expectation(
     for j in range(model.dim):
         t = theta[j] + a * u  # (nodes,)
         diff = pts[:, j][:, None] - t[None, :]
-        # (1/2a) * a * sum_i w_i f(t_i) = 0.5 * sum_i w_i f(t_i)
-        out *= 0.5 * (np.exp(-diff * diff / kernel.gamma2) @ w)
+        # (1/2a) * a * sum_i w_i f(t_i) = 0.5 * sum_i w_i f(t_i); a square
+        # that overflows to inf gives the intended weight exactly 0
+        with np.errstate(over="ignore"):
+            out *= 0.5 * (np.exp(-diff * diff / kernel.gamma2) @ w)
     return float(out[0]) if single else out
 
 

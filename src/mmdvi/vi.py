@@ -12,6 +12,10 @@ minimised by projected stochastic gradient descent on ``(m, s)`` with steps
 One step loop, over a stack of datasets, serves both entries: :func:`fit`
 runs it on one dataset in float64 with a recorder filling the trace, and
 :func:`fit_batched` runs it on a stack, optionally in float32, unrecorded.
+Each step centres the data at the current mean ``m`` in float64; the
+closed-form kernels see ``x - m`` and the offsets ``s * z`` and build each
+exponent ``-c |a - b|^2`` as one matmul ``[a, 1, |a|^2] @ [2c b; -c|b|^2; -c]``
+whose rounding, after centring, is small for the pairs with kernel weight.
 
 Two gradient estimators are provided, both using reparameterised particles
 ``theta_k = m + s * z_k``:
@@ -172,107 +176,88 @@ def _block_size(kind: str, n: int, m_particles: int, dtype) -> int:
     return max(1, BLOCK_BYTES // per_dataset)
 
 
-def _left_half(a: np.ndarray) -> np.ndarray:
-    """The (R, k, 2) operand ``[a, 1]`` of a rank-2 difference; ``a`` is (R, k)."""
-    out = np.empty(a.shape + (2,), a.dtype)
-    out[..., 0] = a
-    out[..., 1] = 1.0
+def _lift(a: np.ndarray) -> np.ndarray:
+    """The (R, k, d+2) left operand ``[a, 1, |a|^2]`` of a lifted squared
+    distance; ``a`` is (R, k, d)."""
+    d = a.shape[2]
+    out = np.empty(a.shape[:2] + (d + 2,), a.dtype)
+    out[..., :d] = a
+    out[..., d] = 1.0
+    np.einsum("rkd,rkd->rk", a, a, out=out[..., d + 1])
     return out
 
 
-def _right_half(b: np.ndarray) -> np.ndarray:
-    """The (R, 2, k) operand ``[1; -b]`` of a rank-2 difference; ``b`` is (R, k).
+def _right(b: np.ndarray, c: float) -> np.ndarray:
+    """The (R, d+2, k) right operand ``[2c b; -c |b|^2; -c]`` of a lifted
+    squared distance; ``b`` is (R, k, d).
 
-    ``np.matmul(_left_half(a), _right_half(b))`` is ``a[:, :, None] -
-    b[:, None, :]`` bit for bit up to the sign of a zero: each entry is
-    ``a_i * 1 + 1 * (-b_j)``, whose products are exact, so the one rounding
-    is that of the difference, whether BLAS or numpy's own loop sums it.
+    ``np.matmul(_lift(a), _right(b, c))`` is ``-c |a_i - b_j|^2`` for every
+    pair, expanded as ``2c a.b - c|b|^2 - c|a|^2``.  Each entry is within
+    about ``(2d + 6) u c (|a| + |b|)^2`` of exact (``u`` the unit roundoff),
+    so the callers centre both sides at ``m``.  It is finite when ``c <= 1/2``
+    and every entry lies within ``+-sqrt(finfo.max / (4 d))``.
     """
-    out = np.empty((b.shape[0], 2, b.shape[1]), b.dtype)
-    out[:, 0] = 1.0
-    np.negative(b, out=out[:, 1])
+    r, k, d = b.shape
+    out = np.empty((r, d + 2, k), b.dtype)
+    np.multiply(b.transpose(0, 2, 1), 2.0 * c, out=out[:, :d])
+    np.einsum("rkd,rkd->rk", b, b, out=out[:, d])
+    out[:, d] *= -c
+    out[:, d + 1] = -c
     return out
 
 
-def _gauss_closed_grad_stack(
-    x: np.ndarray,
-    particles: np.ndarray,
-    z: np.ndarray,
-    sigma2: float,
-    gamma2: float,
-    work: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, sigma2: float,
+                             gamma2: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the Gaussian model.
 
-    ``x`` is (R, n, d); ``particles`` and ``z`` are (R, M, d) with
-    ``particles = m + s * z``.  Returns float64 ``(g_m, g_s)`` of shape
-    (R, d), the gradients of ``-(2/n) sum_i int E[k(X_i, X)] dq`` estimated
-    on the particle set.
+    ``x`` is (R, n, d); ``particles`` and ``z`` are (R, M, d).  Returns
+    float64 ``(g_m, g_s)`` of shape (R, d), the gradients of ``-(2/n) sum_i
+    int E[k(X_i, X)] dq`` on the particle set.  Only ``x - particles``
+    enters, so :func:`_grads` passes ``x - m`` and the offsets ``s * z``.
 
-    ``work`` is the (R, n, M) buffer from :func:`_workspace` that receives
-    the squared distances and then the kernel values; its contents on entry
-    are never read, so one buffer serves every step of a fit.  For d=1 the
-    difference ``x - theta`` is the batched rank-2 matmul
-    ``[x, 1] @ [1; -theta]`` (see :func:`_right_half`): the values of a
-    broadcast subtraction, which cannot cancel, at BLAS speed.  For d>1 the
-    distance is the norm expansion ``|x|^2 + |theta|^2 - 2 x.theta`` clamped
-    at zero.
+    ``work`` is the (R, n, M) buffer from :func:`_workspace`, never read on
+    entry.  Three passes over it, at every ``d``: the exponent ``-|x_i -
+    theta_k|^2 / a2`` as one :func:`_lift` @ :func:`_right` matmul, ``exp``
+    in place, and one matmul ``e^T [x, 1]`` giving ``e^T x`` and the column
+    sums together.
     """
     n, d = x.shape[1:]
     m_particles = particles.shape[1]
     a2 = 2.0 * sigma2 + gamma2
     c2 = (gamma2 / a2) ** (d / 2.0)
-    if d == 1:
-        np.matmul(_left_half(x[:, :, 0]), _right_half(particles[:, :, 0]), out=work)
-        np.square(work, out=work)
-    else:
-        np.matmul(x, particles.transpose(0, 2, 1), out=work)
-        work *= -2.0
-        work += np.einsum("rnd,rnd->rn", x, x)[:, :, None]
-        work += np.einsum("rmd,rmd->rm", particles, particles)[:, None, :]
-        np.maximum(work, 0.0, out=work)
-    work *= -1.0 / a2
+    left = _lift(x)
+    np.matmul(left, _right(particles, 1.0 / a2), out=work)
     e = np.exp(work, out=work)  # (R, n, M), scaled by c2 at the end
-    col = e.sum(axis=1)  # (R, M)
-    v = np.matmul(e.transpose(0, 2, 1), x)  # (R, M, d)
-    per_particle = v - col[:, :, None] * particles  # ~ grad wrt theta summed over i
+    v = np.matmul(e.transpose(0, 2, 1), left[..., : d + 1])  # (R, M, d+1): e^T x, column sums
+    per_particle = v[..., :d] - v[..., d:] * particles  # ~ grad wrt theta summed over i
     scale = -c2 * (2.0 / a2) * 2.0 / (n * m_particles)
     g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
     g_s = scale * np.einsum("rmd,rmd->rd", per_particle, z, dtype=np.float64)
     return g_m, g_s
 
 
-def _uniform_closed_grad_stack(
-    x: np.ndarray,
-    particles: np.ndarray,
-    z: np.ndarray,
-    gamma2: float,
-    half_width: float,
-    work: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+def _uniform_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, gamma2: float,
+                               half_width: float, work: tuple[np.ndarray, np.ndarray]
+                               ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the 1-D uniform model.
 
-    ``x`` is (R, n); ``particles`` and ``z`` are (R, M).  Uses the endpoint
-    kernel differences ``K(theta + a - x) - K(theta - a - x)`` normalised by
-    the uniform density ``1/(2a)``.  Returns float64 (R, 1) gradients.
-
-    ``work`` is the pair of (R, M, n) buffers from :func:`_workspace`; their
-    contents on entry are never read.  The difference ``theta + a - x`` is
-    the batched rank-2 matmul ``[theta + a, 1] @ [1; -x]``, exact as
-    described in :func:`_right_half`.
+    ``x`` is (R, n); ``particles`` and ``z`` are (R, M), centred as in
+    :func:`_gauss_closed_grad_stack`.  Uses the endpoint kernel differences
+    ``K(theta + a - x) - K(theta - a - x)`` normalised by the uniform density
+    ``1/(2a)``.  Returns float64 (R, 1) gradients.  The lifted products
+    ``[theta +- a, 1, (theta +- a)^2] @ [2x; -x^2; -1] / gamma2`` fill the two
+    (R, M, n) ``work`` buffers (never read on entry); each is exponentiated
+    in place and reduced by one matvec.
     """
     n = x.shape[1]
     m_particles = particles.shape[1]
-    up, lo = work
-    np.matmul(_left_half(particles + half_width), _right_half(x), out=up)
-    np.subtract(up, 2.0 * half_width, out=lo)
-    np.square(up, out=up)
-    np.square(lo, out=lo)
-    up *= -1.0 / gamma2
-    lo *= -1.0 / gamma2
-    g = np.exp(up, out=up)
-    g -= np.exp(lo, out=lo)  # (R, M, n)
-    per_particle = g.sum(axis=2)  # (R, M)
+    right = _right(x[:, :, None], 1.0 / gamma2)
+    ones = np.ones(n, x.dtype)
+    sums = []
+    for buf, edge in zip(work, (half_width, -half_width)):
+        np.matmul(_lift((particles + edge)[:, :, None]), right, out=buf)
+        sums.append(np.matmul(np.exp(buf, out=buf), ones))  # (R, M)
+    per_particle = sums[0] - sums[1]
     scale = -2.0 / (n * m_particles * 2.0 * half_width)
     g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
     g_s = scale * np.einsum("rm,rm->r", per_particle, z, dtype=np.float64)
@@ -338,37 +323,46 @@ def _n_particles(model: ModelSpec, config: FitConfig, n: int) -> int:
     return m_particles
 
 
-def _grads(x, m, s, model, kernel, config, rngs, work, g_m, g_s) -> None:
-    """One stochastic gradient of the objective per dataset of an (R, n, d)
-    stack ``x``, written into the rows of the float64 (R, d) ``g_m`` and
-    ``g_s``.  Each dataset draws its particles from its own generator.  The
-    closed-form kernels run in ``x``'s dtype, a block of as many datasets as
-    ``work`` (from :func:`_workspace`) holds at a time; no reduction crosses
-    datasets, so blocking changes no result.  The score estimator leaves
-    ``work`` unused.  The regulariser gradients ``m / beta`` and
-    ``(s - 1/s) / beta`` are added last.
+def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
+    """One stochastic gradient of the objective per dataset of a float64
+    (R, n, d) stack ``x``, written into the rows of the float64 (R, d)
+    ``g_m`` and ``g_s``.  Each dataset draws its particles' normals from its
+    own generator into its row of the float64 (R, M, d) ``z``.
+
+    The closed-form kernels run in the dtype of ``work`` (from
+    :func:`_workspace`), a block of as many datasets as it holds at a time;
+    no reduction crosses datasets, so blocking changes no result.  Each block
+    is centred in float64 before the cast: the kernels see ``x - m``, clipped
+    to ``+-sqrt(finfo(dtype).max / (4 d))``, and the offsets ``s * z``, so
+    the lifted exponent (see :func:`_right`) loses no location digits, and a
+    clipped row gets a kernel weight of exactly 0, its exponent no NaN.  The
+    score estimator uses the particles ``m + s * z`` and leaves ``work``
+    unused.  The regulariser gradients ``m / beta`` and ``(s - 1/s) / beta``
+    are added last.
     """
     r, n, d = x.shape
-    m_particles = _n_particles(model, config, n)
-    z = np.stack([rg.standard_normal((m_particles, d)) for rg in rngs])
-    particles = m[:, None, :] + s[:, None, :] * z
+    for rng, z_row in zip(rngs, z):
+        rng.standard_normal(out=z_row)
     if config.estimator == SCORE:
+        particles = m[:, None, :] + s[:, None, :] * z
         _score_grads(x, m, s, particles, z, model.sigma2, kernel, config.sample_mode, rngs,
                      g_m, g_s)
     else:
-        particles = particles.astype(x.dtype, copy=False)
-        z = z.astype(x.dtype, copy=False)
-        block = len(work[0] if model.kind == UNIFORM else work)
-        for lo in range(0, r, block):
-            b = slice(lo, min(lo + block, r))
+        buf = work[0] if model.kind == UNIFORM else work
+        big = math.sqrt(float(np.finfo(buf.dtype).max) / (4 * d))
+        for lo in range(0, r, len(buf)):
+            b = slice(lo, min(lo + len(buf), r))
             k = b.stop - lo
+            xc = np.clip(x[b] - m[b, None, :], -big, big).astype(buf.dtype, copy=False)
+            offsets = (s[b, None, :] * z[b]).astype(buf.dtype, copy=False)
+            zb = z[b].astype(buf.dtype, copy=False)
             if model.kind == GAUSSIAN:
                 g_m[b], g_s[b] = _gauss_closed_grad_stack(
-                    x[b], particles[b], z[b], model.sigma2, kernel.gamma2, work[:k]
+                    xc, offsets, zb, model.sigma2, kernel.gamma2, work[:k]
                 )
             else:
                 g_m[b], g_s[b] = _uniform_closed_grad_stack(
-                    x[b, :, 0], particles[b, :, 0], z[b, :, 0], kernel.gamma2,
+                    xc[..., 0], offsets[..., 0], zb[..., 0], kernel.gamma2,
                     model.half_width, (work[0][:k], work[1][:k]),
                 )
     inv_beta = config.inv_beta
@@ -399,9 +393,10 @@ def grad_estimate(
     n, d = data.shape
     if d != model.dim or q.dim != model.dim:
         raise ValueError("data, model, and q must agree on the dimension")
-    work = _workspace(model.kind, 1, n, _n_particles(model, config, n), np.float64)
-    g_m, g_s = np.empty((1, d)), np.empty((1, d))
-    _grads(data[None], q.m[None], q.s[None], model, kernel, config, [rng], work, g_m, g_s)
+    m_particles = _n_particles(model, config, n)
+    work = _workspace(model.kind, 1, n, m_particles, np.float64)
+    z, g_m, g_s = np.empty((1, m_particles, d)), np.empty((1, d)), np.empty((1, d))
+    _grads(data[None], q.m[None], q.s[None], model, kernel, config, [rng], work, z, g_m, g_s)
     return GradEstimate(g_m[0], g_s[0])
 
 
@@ -515,14 +510,14 @@ def _run(x, model, kernel, config, rngs, init_m, init_s, dtype, record=None):
 
     ``x`` is a finite float64 (R, n, d) stack with one generator per dataset
     and an (R, d) start ``init_m``, ``init_s``, projected into the boxes
-    here; returns the final ``(m, s)``.  The kernels run in ``dtype`` on one
-    workspace that every step overwrites.  The data are clipped to
-    ``+-sqrt(finfo(dtype).max / (4 d))`` first, so ``|x|^2 + |theta|^2``
-    stays finite; a clipped row's kernel weight is exactly zero either way.
-    ``record(t, m, s, g_m, g_s)``, if given, sees the (R, d) state after
-    ``t`` updates and the gradient applied at step ``t`` (``None`` at t=0).
-    One ``RuntimeWarning`` counts the projections (the start's included)
-    that moved ``m``, naming the first dataset so clamped in a stack.
+    here; returns the final ``(m, s)``.  The data stay in float64; each step
+    centres them at ``m`` for the kernels, which run in ``dtype`` on one
+    workspace and one (R, M, d) draw buffer that every step overwrites (see
+    :func:`_grads`).  ``record(t, m, s, g_m, g_s)``, if given, sees the
+    (R, d) state after ``t`` updates and the gradient applied at step ``t``
+    (``None`` at t=0).  One ``RuntimeWarning`` counts the projections (the
+    start's included) that moved ``m``, naming the first dataset so clamped
+    in a stack.
     """
     r, n, d = x.shape
     m_particles = _n_particles(model, config, n)
@@ -533,16 +528,14 @@ def _run(x, model, kernel, config, rngs, init_m, init_s, dtype, record=None):
     clamps = (m != start).any(axis=1).astype(int)
     s = np.clip(np.asarray(init_s, dtype=float).reshape(r, d), s_lo, s_hi)
 
-    big = math.sqrt(float(np.finfo(dtype).max) / (4 * d))
-    x = np.clip(x, -big, big).astype(dtype, copy=False)
     block = _block_size(model.kind, n, m_particles, dtype)
     work = _workspace(model.kind, min(block, r), n, m_particles, dtype)
-    g_m, g_s = np.empty((r, d)), np.empty((r, d))
+    z, g_m, g_s = np.empty((r, m_particles, d)), np.empty((r, d)), np.empty((r, d))
     if record is not None:
         record(0, m, s, None, None)
 
     for t in range(1, config.n_steps + 1):
-        _grads(x, m, s, model, kernel, config, rngs, work, g_m, g_s)
+        _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s)
         eta = config.step_scale / math.sqrt(t)
         step = m - eta * g_m
         m = np.clip(step, m_lo, m_hi)
@@ -648,8 +641,10 @@ def fit_batched(
     workspace, allocated once per call, stays in a core's L2 cache.  No
     reduction crosses datasets, so blocking changes no result: a float64
     stack of one dataset reproduces :func:`fit` bit for bit, and a stack
-    gives the same bits as fitting each dataset alone.  Far outliers are
-    clipped (see :func:`_run`); non-finite data raise ``ValueError``.
+    gives the same bits as fitting each dataset alone.  Each step centres the
+    data at ``m`` in float64 before the cast, so a float32 fit moves with a
+    shift of the data to ~1e-10 even at shifts of 1e5, and far outliers are
+    clipped (see :func:`_grads`); non-finite data raise ``ValueError``.
     """
     if config.estimator != CLOSED_FORM:
         raise ValueError("fit_batched supports the closed_form estimator only")

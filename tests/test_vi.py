@@ -19,8 +19,8 @@ from mmdvi.vi import (
     MeanFieldGaussian,
     _block_size,
     _gauss_closed_grad_stack,
-    _left_half,
-    _right_half,
+    _lift,
+    _right,
     _uniform_closed_grad_stack,
     _workspace,
     fit,
@@ -466,30 +466,43 @@ def test_fit_batched_blocks_match_single_runs(model, dtype):
 
 
 @st.composite
-def _difference_operands(draw, dtype):
-    """Two (2, k) stacks of finite floats of at most half ``dtype``'s
-    largest magnitude, with signed zeros and subnormals among them."""
-    big = float(np.finfo(dtype).max) / 2.0
+def _lifted_operands(draw, dtype):
+    """Two (1, k, d) stacks of floats within the clip bound
+    ``sqrt(finfo.max / (4 d))``, with signed zeros and subnormals among them,
+    and a scale ``c`` in (0, 1/2]."""
+    d = draw(st.sampled_from([1, 2, 3, 15]))
+    # one ulp inside, as casting the bound to dtype may round it up
+    big = float(np.nextafter(dtype(math.sqrt(float(np.finfo(dtype).max) / (4 * d))), dtype(0)))
     elements = st.floats(-big, big, width=np.finfo(dtype).bits) | st.sampled_from(
         [0.0, -0.0, float(np.finfo(dtype).smallest_subnormal), big, -big]
     )
-    p, q = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    a = draw(hnp.arrays(dtype, (2, p), elements=elements))
-    b = draw(hnp.arrays(dtype, (2, q), elements=elements))
-    return a, b
+    p, q = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    a = draw(hnp.arrays(dtype, (1, p, d), elements=elements))
+    b = draw(hnp.arrays(dtype, (1, q, d), elements=elements))
+    c = draw(st.floats(2.0**-20, 0.5))
+    return a, b, c
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_rank2_difference_squares_like_subtract(dtype, data):
-    a, b = data.draw(_difference_operands(dtype))
-    with np.errstate(over="ignore", under="ignore"):
-        rank2 = np.square(np.matmul(_left_half(a), _right_half(b)))
-        direct = np.square(a[:, :, None] - b[:, None, :])
-    assert rank2.dtype == direct.dtype == dtype
-    np.testing.assert_array_equal(rank2, direct)
-    assert not np.any(np.signbit(rank2))
+def test_lifted_exponent_is_finite_and_within_its_rounding_bound(dtype, data):
+    # lift(a) @ right(b, c) expands -c |a_i - b_j|^2; each entry rounds to
+    # within (2d + 6) u c (|a_i| + |b_j|)^2 of it, u the unit roundoff, plus
+    # a few smallest normals where terms underflow
+    a, b, c = data.draw(_lifted_operands(dtype))
+    d = a.shape[2]
+    lifted = np.matmul(_lift(a), _right(b, c))
+    assert lifted.dtype == dtype
+    assert np.all(np.isfinite(lifted))
+    wide = np.longdouble
+    aw, bw = a.astype(wide), b.astype(wide)
+    direct = -wide(c) * np.square(aw[:, :, None, :] - bw[:, None, :, :]).sum(axis=3)
+    norm_a, norm_b = np.sqrt(np.square(aw).sum(axis=2)), np.sqrt(np.square(bw).sum(axis=2))
+    info = np.finfo(dtype)
+    bound = (2 * d + 6) * (wide(info.eps / 2) * wide(c) * (norm_a[:, :, None] + norm_b[:, None, :]) ** 2
+                           + wide(info.smallest_normal))
+    assert np.all(np.abs(lifted.astype(wide) - direct) <= bound)
 
 
 def _with_row(value, kind):
@@ -684,6 +697,53 @@ def test_fit_is_translation_equivariant():
     base = fit(data, model, config=config)
     moved = fit(data + shift, model, config=config)
     assert abs((moved.q.m[0] - shift) - base.q.m[0]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "model", [ModelSpec.gaussian(1), ModelSpec.uniform(1), ModelSpec.gaussian(15)],
+    ids=["gaussian", "uniform", "gaussian-d15"],
+)
+def test_fit_batched_float32_is_translation_equivariant(model):
+    # data and particles are centred at m in float64 before the float32 cast,
+    # so a shift costs no location digits in the kernels
+    d = model.dim
+    rng = np.random.default_rng(52)
+    data = np.stack([sample(model, np.full(d, 0.5), 100, rng) for _ in range(3)])
+    config = FitConfig.benchmark(100, d, n_steps=200)
+
+    def run(shift):
+        shifted = data + shift
+        rngs = [np.random.default_rng((53, i)) for i in range(3)]
+        return fit_batched(shifted, model, GaussianKernel.default_for_dim(d), config, rngs,
+                           np.median(shifted, axis=1), np.ones((3, d)), dtype=np.float32)
+
+    base_m, base_s = run(0.0)
+    for shift in (1e4, 1e5):
+        m, s = run(shift)
+        np.testing.assert_allclose(m - shift, base_m, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(s, base_s, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "model", [ModelSpec.gaussian(1), ModelSpec.uniform(1), ModelSpec.gaussian(3)],
+    ids=["gaussian", "uniform", "gaussian-d3"],
+)
+def test_fit_with_far_outlier_raises_no_warning(model):
+    # the outlier's squared distances overflow to inf on purpose: its kernel
+    # weight is exactly 0, which is no cause for a RuntimeWarning
+    d = model.dim
+    data = sample(model, np.full(d, 1.0), 40, np.random.default_rng(54))
+    data[5] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(data, model, config=FitConfig.benchmark(40, d, n_steps=30))
+        m, s = fit_batched(
+            data[None], model, GaussianKernel.default_for_dim(d),
+            FitConfig.benchmark(40, d, n_steps=30), [np.random.default_rng(55)],
+            np.median(data, axis=0)[None], np.ones((1, d)), dtype=np.float32,
+        )
+    assert np.all(np.isfinite(res.q.m)) and np.all(np.isfinite(res.trace.objective))
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(s))
 
 
 def test_fit_recovers_clean_gaussian_mean():
