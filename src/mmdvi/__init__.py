@@ -47,7 +47,6 @@ from .vi import (
     grad_estimate,
     kl_to_standard_prior,
     objective_exact,
-    objective_mc,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +73,6 @@ __all__ = [
     "FitResult",
     "fit",
     "grad_estimate",
-    "objective_mc",
     "objective_exact",
     "kl_to_standard_prior",
     "ball_radius",

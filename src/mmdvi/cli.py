@@ -32,7 +32,7 @@ from .mmd import (
 )
 from .models import ModelSpec
 from .theory import extended_prior_mass_construction, prior_mass_lower_bound
-from .vi import CLOSED_FORM, PER_PARTICLE, SCORE, SHARED, DEFAULT_SEED, FitConfig, fit
+from .vi import DEFAULT_SEED, FitConfig, fit
 
 
 class ConfigError(ValueError):
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 KEYS = {
     "estimate": frozenset(
         "data problem epsilon n model sigma2 half_width gamma2 beta_log particles "
-        "steps step_scale estimator sample_mode seed out".split()
+        "steps step_scale seed out".split()
     ),
     "sweep": frozenset(
         "problem epsilons reps n steps step_scale jobs seed out svg float64".split()
@@ -83,12 +83,17 @@ def _merge(args: argparse.Namespace) -> dict:
 
 
 def _as_int(value, key: str, default: int | None = None) -> int | None:
+    """An integer option; a bool or a non-integral number (``2.7`` from a
+    config file) is rejected rather than truncated."""
     if value is None:
         return default
+    message = f"{key} must be an integer, got {value!r}"
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(message)
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+        raise ConfigError(message) from None
 
 
 def _as_float(value, key: str, default: float | None = None) -> float | None:
@@ -165,10 +170,6 @@ def cmd_estimate(opts: dict) -> int:
         overrides["n_steps"] = _as_int(opts["steps"], "steps")
     if opts["step_scale"] is not None:
         overrides["step_scale"] = _as_float(opts["step_scale"], "step_scale")
-    if opts["estimator"] is not None:
-        overrides["estimator"] = str(opts["estimator"])
-    if opts["sample_mode"] is not None:
-        overrides["sample_mode"] = str(opts["sample_mode"])
     try:
         config = FitConfig.benchmark(n, d, **overrides)
         result = fit(x, model, kernel, config, rng=rng_fit)
@@ -291,6 +292,8 @@ def cmd_theory(opts: dict) -> int:
 
 def cmd_verify(opts: dict) -> int:
     trials = _as_int(opts["trials"], "trials", 1000)
+    if trials < 2:
+        raise ConfigError(f"trials must be >= 2, got {trials}")
     seed = _as_int(opts["seed"], "seed", DEFAULT_SEED)
     all_passed = True
 
@@ -350,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="gradient steps (default 1000)")
     p.add_argument("--step-scale", dest="step_scale", type=float,
                    help="step size multiplier for 1/sqrt(t) (default 1)")
-    p.add_argument("--estimator", choices=(CLOSED_FORM, SCORE))
-    p.add_argument("--sample-mode", dest="sample_mode", choices=(PER_PARTICLE, SHARED))
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="run the contamination benchmark")

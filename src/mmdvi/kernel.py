@@ -6,7 +6,7 @@ The only kernel family used anywhere in this package is the Gaussian kernel
 
 which is bounded by 1, characteristic, and admits closed forms for the inner
 products of kernel mean embeddings of Gaussian location models.  Those closed
-forms are what make exact MMD computations (and fast gradient estimators)
+forms are what make exact MMD computations (and the fit's exact gradients)
 possible without Monte Carlo.
 """
 
@@ -66,20 +66,6 @@ def _as_points(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def gram(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full Gram matrix ``K[i, j] = k(x_i, y_j)``.
-
-    ``x`` is (n, d) and ``y`` is (m, d); 1-D inputs are treated as scalar
-    samples.  The matrix is materialised, so use :func:`gram_sum` when only
-    the sum of entries is needed for a large sample.
-    """
-    x = _as_points(x, "x")
-    y = _as_points(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: x has d={x.shape[1]}, y has d={y.shape[1]}")
-    return _gram_block(kernel, x, y)
-
-
 def _gram_block(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel values for (n, d) ``x`` against (m, d) ``y``.
 
@@ -110,7 +96,6 @@ def gram_sum(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> float:
     block is reduced with numpy's pairwise summation, and the per-block
     partial sums are combined with ``math.fsum`` so the final accumulation is
     compensated.  Handles samples up to ~1e4 points without blowing memory.
-    Each block comes from the same routine as :func:`gram`.
     """
     x = _as_points(x, "x")
     y = _as_points(y, "y")

@@ -2,9 +2,11 @@
 
 For a kernel ``k`` with mean embedding ``mu_P = E_{X~P} k(X, .)``, the squared
 MMD is ``||mu_P - mu_Q||^2``, expanded into three expectation terms.  This
-module provides the empirical V- and U-statistics, exact closed forms for
-Gaussian location models, the population criterion under Huber contamination,
-and the empirical-convergence check ``E[MMD^2(P_hat_n, P)] <= 1/n``.
+module provides the empirical V- and U-statistics, the exact squared MMD
+between a location model (Gaussian or uniform, each by its one closed form)
+and an empirical measure, the population criterion under Huber
+contamination, and the empirical-convergence check ``E[MMD^2(P_hat_n, P)] <=
+1/n``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .kernel import (
 )
 from .models import (
     GAUSSIAN,
-    UNIFORM,
     ModelSpec,
     sample,
     uniform_pair_expectation,
@@ -33,8 +34,6 @@ from .models import (
 V_STATISTIC = "v_statistic"
 U_STATISTIC = "u_statistic"
 CLOSED_FORM = "closed_form"
-QUADRATURE = "quadrature"
-MONTE_CARLO = "monte_carlo"
 
 # A V-statistic is a squared RKHS norm; only floating-point cancellation can
 # push it below zero, and never by more than this.
@@ -148,21 +147,14 @@ def mmd2_model_vs_empirical(
     model: ModelSpec,
     theta: np.ndarray,
     data: np.ndarray,
-    method: str = "auto",
-    mc_samples: int = 1024,
-    rng: np.random.Generator | None = None,
     data_term: float | None = None,
 ) -> Mmd2Estimate:
-    """Squared MMD between the model ``P_theta`` and the empirical measure.
+    """Exact squared MMD between the model ``P_theta`` and the empirical measure.
 
-    The two model-side expectation terms are evaluated exactly: in closed form
-    for the Gaussian model, by Gauss-Legendre quadrature for the uniform model,
-    or by Monte Carlo for either when ``method="monte_carlo"``.  The data-data
-    term is always exact; pass ``data_term`` to reuse a cached value.
-
-    ``method`` is one of ``"auto"`` (closed form or quadrature as the model
-    permits), ``"closed_form"`` (Gaussian only), ``"quadrature"`` (uniform
-    only), or ``"monte_carlo"`` (requires ``rng`` and ``mc_samples >= 2``).
+    The two model-side expectation terms are closed forms: the Gaussian
+    embedding inner products of :mod:`.kernel` for the Gaussian model, the erf
+    forms of :mod:`.models` for the uniform model.  The data-data term is
+    exact too; pass ``data_term`` to reuse a cached value.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -171,41 +163,17 @@ def mmd2_model_vs_empirical(
         raise ValueError("data must be non-empty")
     if data.shape[1] != model.dim:
         raise ValueError(f"data has dimension {data.shape[1]}, model has dim {model.dim}")
-    n = data.shape[0]
     if data_term is None:
         data_term = data_kernel_term(kernel, data)
-
-    if method == "auto":
-        method = "closed_form" if model.kind == GAUSSIAN else "quadrature"
-
-    if method == "closed_form":
-        if model.kind != GAUSSIAN:
-            raise ValueError("closed_form is available for the Gaussian model only")
+    if model.kind == GAUSSIAN:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         pair = gaussian_embedding_inner(kernel, theta, theta, model.sigma2)
         cross = point_embedding_inner(kernel, data, theta, model.sigma2)
-        value = pair - 2.0 * float(np.mean(cross)) + data_term
-        kind = CLOSED_FORM
-    elif method == "quadrature":
-        if model.kind != UNIFORM:
-            raise ValueError("quadrature is available for the uniform model only")
+    else:
         pair = uniform_pair_expectation(kernel, model)
         cross = uniform_point_expectation(kernel, model, theta, data)
-        value = pair - 2.0 * float(np.mean(cross)) + data_term
-        kind = QUADRATURE
-    elif method == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo requires an rng")
-        if mc_samples < 2:
-            raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
-        z = sample(model, np.atleast_1d(np.asarray(theta, dtype=float)), mc_samples, rng)
-        pair = (gram_sum(kernel, z, z) - mc_samples) / (mc_samples * (mc_samples - 1))
-        cross = gram_sum(kernel, data, z) / (n * mc_samples)
-        value = pair - 2.0 * cross + data_term
-        kind = MONTE_CARLO
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Mmd2Estimate(value=value, kind=kind, n_x=n, n_y=0)
+    value = pair - 2.0 * float(np.mean(cross)) + data_term
+    return Mmd2Estimate(value=value, kind=CLOSED_FORM, n_x=data.shape[0], n_y=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,9 +289,9 @@ def check_empirical_convergence(
     """Verify ``E[MMD^2(P_hat_n, P_theta0)] <= 1/n`` by simulation.
 
     Draws ``trials`` datasets of size ``n`` from ``P_theta0`` and evaluates
-    the exact (closed-form or quadrature) squared MMD between each empirical
-    measure and the generating model.  Passes when the sample mean does not
-    exceed ``1/n`` by more than three standard errors.
+    the exact squared MMD between each empirical measure and the generating
+    model.  Passes when the sample mean does not exceed ``1/n`` by more than
+    three standard errors.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")

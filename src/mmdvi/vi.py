@@ -17,22 +17,13 @@ closed-form kernels see ``x - m`` and the offsets ``s * z`` and build each
 exponent ``-c |a - b|^2`` as one matmul ``[a, 1, |a|^2] @ [2c b; -c|b|^2; -c]``
 whose rounding, after centring, is small for the pairs with kernel weight.
 
-Two gradient estimators are provided, both using reparameterised particles
-``theta_k = m + s * z_k``:
-
-* ``"closed_form"``: differentiates the kernel expectation
-  ``E_{X ~ P_theta}[k(X_i, X)]`` exactly in ``theta`` (Gaussian model: the
-  embedding closed form; uniform model: endpoint kernel differences).  No
-  synthetic sample is needed, the estimator is unbiased, and per-step cost is
-  O(n M).  This is the default.
-* ``"score"``: the log-derivative-trick estimator built from a synthetic
-  sample ``Y_1..Y_M``, with U-statistic kernel weights.  ``sample_mode``
-  selects where the synthetic sample comes from: ``"per_particle"`` draws a
-  fresh ``Y`` set from each ``P_theta_k`` (unbiased, O(M^3) per step), while
-  ``"shared"`` draws a single set from ``P_m`` reused across particles
-  (cheaper, and the historical formulation, but biased: with contaminated
-  data the shared-sample scale gradient systematically inflates ``s``, which
-  in turn destabilises the mean updates; see the gradient comparison tests).
+The one gradient estimator is reparameterised: it draws particles ``theta_k =
+m + s * z_k`` and differentiates the kernel expectation ``E_{X ~
+P_theta}[k(X_i, X)]`` exactly in ``theta`` at each (Gaussian model: the
+embedding closed form; uniform model: endpoint kernel differences).  It needs
+no synthetic sample, is unbiased, and costs O(n M) per step.
+:func:`objective_exact` integrates the particles out in closed form for both
+models; it is the reference the gradient is finite-difference checked against.
 """
 
 from __future__ import annotations
@@ -44,15 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import GaussianKernel, self_sq
+from .kernel import GaussianKernel
 from .mmd import data_kernel_term, mmd2_model_vs_empirical
 from .models import (GAUSSIAN, UNIFORM, ModelSpec, uniform_pair_expectation,
                      uniform_point_expectation)
-
-CLOSED_FORM = "closed_form"
-SCORE = "score"
-PER_PARTICLE = "per_particle"
-SHARED = "shared"
 
 DEFAULT_SEED = 12345
 DEFAULT_M_BOUNDS = (-1e6, 1e6)
@@ -88,16 +74,6 @@ def kl_to_standard_prior(q: MeanFieldGaussian) -> float:
     return 0.5 * float(np.sum(q.m**2 + q.s**2 - np.log(q.s**2) - 1.0))
 
 
-def project_box(v: np.ndarray, lo, hi) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the box ``[lo, hi]`` (componentwise clamp)."""
-    v = np.asarray(v, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("box is empty: lo > hi in some component")
-    return np.clip(v, lo, hi)
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Configuration of the projected stochastic gradient fit.
@@ -115,8 +91,6 @@ class FitConfig:
     m_bounds: tuple[float, float] = DEFAULT_M_BOUNDS
     s_bounds: tuple[float, float] = DEFAULT_S_BOUNDS
     seed: int = DEFAULT_SEED
-    estimator: str = CLOSED_FORM
-    sample_mode: str = PER_PARTICLE
 
     def __post_init__(self) -> None:
         if math.isnan(self.beta_log):
@@ -125,16 +99,12 @@ class FitConfig:
             raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.step_scale < 0.0:
-            raise ValueError(f"step_scale must be >= 0, got {self.step_scale}")
+        if not 0.0 <= self.step_scale < math.inf:
+            raise ValueError(f"step_scale must be finite and >= 0, got {self.step_scale}")
         if not self.m_bounds[0] <= self.m_bounds[1]:
             raise ValueError(f"empty m_bounds box {self.m_bounds}")
         if not 0.0 < self.s_bounds[0] <= self.s_bounds[1]:
             raise ValueError(f"s_bounds must satisfy 0 < lo <= hi, got {self.s_bounds}")
-        if self.estimator not in (CLOSED_FORM, SCORE):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.sample_mode not in (PER_PARTICLE, SHARED):
-            raise ValueError(f"unknown sample_mode {self.sample_mode!r}")
 
     @classmethod
     def benchmark(cls, n: int, dim: int, **overrides) -> "FitConfig":
@@ -264,57 +234,9 @@ def _uniform_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarr
     return g_m[:, None], g_s[:, None]
 
 
-def _score_weights(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """U-statistic kernel weights ``(1/(M-1)) sum_{l != j} k(Y_j, Y_l) -
-    (1/n) sum_i k(X_i, Y_j)`` for a synthetic sample ``y`` of shape (M, d)."""
-    m = y.shape[0]
-    ysq = self_sq(y)
-    sq = ysq[:, None] + ysq[None, :] - 2.0 * (y @ y.T)
-    np.maximum(sq, 0.0, out=sq)
-    kyy = np.exp(-sq / kernel.gamma2)
-    within = (kyy.sum(axis=1) - 1.0) / (m - 1)
-    sq = self_sq(x)[:, None] + ysq[None, :] - 2.0 * (x @ y.T)
-    np.maximum(sq, 0.0, out=sq)
-    kxy = np.exp(-sq / kernel.gamma2)
-    return within - kxy.mean(axis=0)
-
-
-def _score_grads(x, m, s, particles, z, sigma2, kernel, sample_mode, rngs, g_m, g_s) -> None:
-    """Score-estimator data-term gradients, written into the rows of ``g_m``
-    and ``g_s`` as in :func:`_grads`.  Each dataset draws its synthetic
-    samples from its own generator, after its particles."""
-    m_particles, d = z.shape[1:]
-    c = 2.0 / (m_particles**2 * sigma2)
-    for i, rng in enumerate(rngs):
-        if sample_mode == SHARED:
-            y = m[i] + math.sqrt(sigma2) * rng.standard_normal((m_particles, d))
-            w = _score_weights(kernel, x[i], y)
-            sw = w.sum()
-            z_sum = z[i].sum(axis=0)
-            z_sq_sum = (z[i] * z[i]).sum(axis=0)
-            wy = w @ (y - m[i])  # (d,)
-            g_m[i] = c * (m_particles * wy - sw * (s[i] * z_sum))
-            g_s[i] = c * (z_sum * wy - sw * (s[i] * z_sq_sum))
-        else:  # per-particle synthetic samples
-            gm, gs = np.zeros(d), np.zeros(d)
-            for k in range(m_particles):
-                theta = particles[i, k]
-                y = theta + math.sqrt(sigma2) * rng.standard_normal((m_particles, d))
-                contrib = _score_weights(kernel, x[i], y) @ (y - theta)
-                gm += contrib
-                gs += z[i, k] * contrib
-            g_m[i] = c * gm
-            g_s[i] = c * gs
-
-
 def _n_particles(model: ModelSpec, config: FitConfig, n: int) -> int:
-    """``M`` for data of ``n`` points, once the estimator is known to have a
-    gradient for the model."""
-    if config.estimator == SCORE and model.kind != GAUSSIAN:
-        raise ValueError(
-            "the score estimator needs a differentiable log-density; "
-            "use the closed_form estimator for the uniform model"
-        )
+    """``M`` for data of ``n`` points; rejects the uniform model beyond d=1,
+    which has no closed-form gradient here."""
     if model.kind == UNIFORM and model.dim != 1:
         raise ValueError("closed-form uniform gradients support dim=1 only")
     m_particles = config.n_particles if config.n_particles is not None else n
@@ -336,35 +258,29 @@ def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
     to ``+-sqrt(finfo(dtype).max / (4 d))``, and the offsets ``s * z``, so
     the lifted exponent (see :func:`_right`) loses no location digits, and a
     clipped row gets a kernel weight of exactly 0, its exponent no NaN.  The
-    score estimator uses the particles ``m + s * z`` and leaves ``work``
-    unused.  The regulariser gradients ``m / beta`` and ``(s - 1/s) / beta``
-    are added last.
+    regulariser gradients ``m / beta`` and ``(s - 1/s) / beta`` are added
+    last.
     """
     r, n, d = x.shape
     for rng, z_row in zip(rngs, z):
         rng.standard_normal(out=z_row)
-    if config.estimator == SCORE:
-        particles = m[:, None, :] + s[:, None, :] * z
-        _score_grads(x, m, s, particles, z, model.sigma2, kernel, config.sample_mode, rngs,
-                     g_m, g_s)
-    else:
-        buf = work[0] if model.kind == UNIFORM else work
-        big = math.sqrt(float(np.finfo(buf.dtype).max) / (4 * d))
-        for lo in range(0, r, len(buf)):
-            b = slice(lo, min(lo + len(buf), r))
-            k = b.stop - lo
-            xc = np.clip(x[b] - m[b, None, :], -big, big).astype(buf.dtype, copy=False)
-            offsets = (s[b, None, :] * z[b]).astype(buf.dtype, copy=False)
-            zb = z[b].astype(buf.dtype, copy=False)
-            if model.kind == GAUSSIAN:
-                g_m[b], g_s[b] = _gauss_closed_grad_stack(
-                    xc, offsets, zb, model.sigma2, kernel.gamma2, work[:k]
-                )
-            else:
-                g_m[b], g_s[b] = _uniform_closed_grad_stack(
-                    xc[..., 0], offsets[..., 0], zb[..., 0], kernel.gamma2,
-                    model.half_width, (work[0][:k], work[1][:k]),
-                )
+    buf = work[0] if model.kind == UNIFORM else work
+    big = math.sqrt(float(np.finfo(buf.dtype).max) / (4 * d))
+    for lo in range(0, r, len(buf)):
+        b = slice(lo, min(lo + len(buf), r))
+        k = b.stop - lo
+        xc = np.clip(x[b] - m[b, None, :], -big, big).astype(buf.dtype, copy=False)
+        offsets = (s[b, None, :] * z[b]).astype(buf.dtype, copy=False)
+        zb = z[b].astype(buf.dtype, copy=False)
+        if model.kind == GAUSSIAN:
+            g_m[b], g_s[b] = _gauss_closed_grad_stack(
+                xc, offsets, zb, model.sigma2, kernel.gamma2, work[:k]
+            )
+        else:
+            g_m[b], g_s[b] = _uniform_closed_grad_stack(
+                xc[..., 0], offsets[..., 0], zb[..., 0], kernel.gamma2,
+                model.half_width, (work[0][:k], work[1][:k]),
+            )
     inv_beta = config.inv_beta
     if inv_beta != 0.0:
         g_m += inv_beta * m
@@ -382,9 +298,9 @@ def grad_estimate(
     """One stochastic gradient of the variational objective at ``q``.
 
     Draws ``M = config.n_particles`` (default: the sample size) standard
-    normal particles, applies the configured estimator, and adds the
-    regulariser gradients.  Consumes the generator; call with a fresh seeded
-    generator for reproducible draws.  This is one step's gradient of the
+    normal particles, differentiates the kernel expectations exactly at each,
+    and adds the regulariser gradients.  Consumes the generator; call with a
+    fresh seeded generator for reproducible draws.  This is one step's gradient of the
     loop behind :func:`fit`, with a workspace of its own.
     """
     data = np.asarray(data, dtype=float)
@@ -400,36 +316,6 @@ def grad_estimate(
     return GradEstimate(g_m[0], g_s[0])
 
 
-def objective_mc(
-    q: MeanFieldGaussian,
-    data: np.ndarray,
-    model: ModelSpec,
-    kernel: GaussianKernel,
-    config: FitConfig,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Monte-Carlo estimate of the variational objective at ``q``.
-
-    Averages :func:`mmd2_model_vs_empirical` over ``M`` reparameterised
-    particles and adds the regulariser.  Unbiased in the particle draw; the
-    inner expectations are exact (closed form or quadrature).  Deterministic
-    under ``config.seed`` when no generator is supplied.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    n = data.shape[0]
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    m_particles = config.n_particles if config.n_particles is not None else n
-    z = rng.standard_normal((m_particles, q.dim))
-    particles = q.m + q.s * z
-    dterm = data_kernel_term(kernel, data)
-    value = np.mean([mmd2_model_vs_empirical(kernel, model, p, data, data_term=dterm).value
-                     for p in particles])
-    return float(value) + config.inv_beta * kl_to_standard_prior(q)
-
-
 def objective_exact(
     q: MeanFieldGaussian,
     data: np.ndarray,
@@ -437,14 +323,17 @@ def objective_exact(
     kernel: GaussianKernel,
     beta_log: float = math.inf,
 ) -> float:
-    """Deterministic high-precision value of the variational objective.
+    """Exact value of the variational objective, with no particles drawn.
 
-    For the Gaussian model the particle average has a closed form: integrating
-    the embedding cross term over ``theta ~ N(m, diag(s^2))`` merely widens
-    each coordinate variance by ``2 s_j^2``.  For the 1-D uniform model the
-    location integral is done by Gauss-Hermite quadrature on 128 nodes.  This
-    is the reference the stochastic gradient estimators are finite-difference
-    checked against.
+    The particle average of the cross term has a closed form for both models.
+    Gaussian model: integrating the embedding cross term over ``theta ~ N(m,
+    diag(s^2))`` merely widens each coordinate variance by ``2 s_j^2``.  1-D
+    uniform model: the point expectation is a difference of ``erf((theta + c)
+    / gamma)`` terms, and ``E erf((theta + c) / gamma) = erf((m + c) / w)``
+    with ``w^2 = gamma2 + 2 s^2``, so the average is ``gamma / w`` times the
+    point expectation at ``m`` under the kernel of bandwidth ``w^2``.  This is
+    the reference the stochastic gradient is finite-difference checked
+    against.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -465,13 +354,10 @@ def objective_exact(
     else:
         if model.dim != 1:
             raise ValueError("objective_exact supports the uniform model in dimension 1 only")
-        nodes, weights = np.polynomial.hermite.hermgauss(128)
-        thetas = q.m[0] + math.sqrt(2.0) * q.s[0] * nodes
         pair = uniform_pair_expectation(kernel, model)
-        vals = np.empty(nodes.size)
-        for i, theta in enumerate(thetas):
-            vals[i] = float(np.mean(uniform_point_expectation(kernel, model, np.array([theta]), data)))
-        cross = float((weights @ vals) / math.sqrt(math.pi))
+        widened = GaussianKernel(kernel.gamma2 + 2.0 * q.s[0] ** 2)
+        point = uniform_point_expectation(widened, model, q.m, data)
+        cross = math.sqrt(kernel.gamma2 / widened.gamma2) * float(np.mean(point))
     value = pair - 2.0 * cross + dterm
     return value + inv_beta * kl_to_standard_prior(q)
 
@@ -573,8 +459,8 @@ def fit(
     data, config, and seed the trace is reproduced bit for bit.
 
     The loop is :func:`_run` on a float64 stack of this one dataset, with a
-    recorder filling the :class:`FitTrace`; only this entry runs the score
-    estimator.  A ``RuntimeWarning`` says when the m-box clamped ``m``.
+    recorder filling the :class:`FitTrace`.  A ``RuntimeWarning`` says when
+    the m-box clamped ``m``.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -625,15 +511,14 @@ def fit_batched(
     init_s: np.ndarray,
     dtype=np.float64,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run independent closed-form-estimator fits on a stack of datasets.
+    """Run independent fits on a stack of datasets.
 
     ``data_stack`` is (R, n, d) with one generator per dataset; particle
     draws come from each dataset's own stream, so every fit is identical to
     running it alone, while the kernel arithmetic is batched across the
     stack (optionally in float32: rounding there is orders of magnitude
     below the Monte Carlo noise of the gradient).  Traces are not recorded;
-    returns the final ``(m, s)`` stacks.  Only the closed-form estimator is
-    supported: it is the one cheap enough to justify batching.
+    returns the final ``(m, s)`` stacks.
 
     The loop is :func:`_run`, the one behind :func:`fit`, with no recorder.
     Each step walks the stack in blocks of as many datasets as fit their
@@ -646,8 +531,6 @@ def fit_batched(
     shift of the data to ~1e-10 even at shifts of 1e5, and far outliers are
     clipped (see :func:`_grads`); non-finite data raise ``ValueError``.
     """
-    if config.estimator != CLOSED_FORM:
-        raise ValueError("fit_batched supports the closed_form estimator only")
     data_stack = np.asarray(data_stack, dtype=float)
     r, n, d = data_stack.shape
     if d != model.dim:

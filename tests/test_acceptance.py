@@ -30,8 +30,6 @@ from mmdvi.theory import (
     prior_mass_lower_bound,
 )
 from mmdvi.vi import (
-    PER_PARTICLE,
-    SCORE,
     FitConfig,
     MeanFieldGaussian,
     grad_estimate,
@@ -156,11 +154,11 @@ def test_gradient_estimators_match_finite_differences():
             (f(m, s + h) - f(m, s - h)) / (2 * h),
         )
 
-    # gaussian model: the score estimator with fresh per-particle samples
+    # gaussian model: the exact per-particle gradient of the embedding closed form
     model = ModelSpec.gaussian(1)
     kernel = GaussianKernel.default_for_dim(1)
     data = sample(model, np.array([2.0]), 40, np.random.default_rng(100))
-    config = FitConfig(n_particles=16, estimator=SCORE, sample_mode=PER_PARTICLE)
+    config = FitConfig(n_particles=16)
     pts = np.random.default_rng(200)
     for i in range(10):
         m, s = pts.uniform(0.8, 3.2), pts.uniform(0.4, 1.4)
@@ -175,7 +173,7 @@ def test_gradient_estimators_match_finite_differences():
         assert abs(gs.mean() - fd_s) <= 4 * se_s + 1e-7, (i, m, s)
         checks += 2
 
-    # uniform model: the exact per-particle gradient (no usable score exists)
+    # uniform model: the exact per-particle gradient of the endpoint differences
     model = ModelSpec.uniform(1)
     kernel = GaussianKernel.default_for_dim(1)
     data = sample(model, np.array([1.0]), 40, np.random.default_rng(101))

@@ -188,7 +188,7 @@ def test_config_file_merging(tmp_path):
                 "problem": "gauss1d",
                 "epsilons": "0.0",
                 "reps": 3,
-                "n": 12,
+                "n": 12.0,  # an integral float is an integer
                 "steps": 4,
                 "jobs": 1,
             }
@@ -230,3 +230,34 @@ def test_verify_small_run_passes(capsys):
     assert out.count("PASS") == 5
     assert "FAIL" not in out
     assert "argmin" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_estimate_rejects_bad_step_scale(tmp_path, capsys, value):
+    data = tmp_path / "x.csv"
+    _write_sample(data, np.linspace(-1.0, 1.0, 10))
+    args = ["estimate", "--data", str(data), "--steps", "3", "--out", str(tmp_path)]
+    assert main(args + [f"--step-scale={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "step_scale" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("value", [2.7, True, False, "2.5", 1e400])
+def test_config_integer_keys_reject_non_integers(tmp_path, capsys, value):
+    # a non-integral number or a bool is refused, never truncated to 2 or 1
+    data = tmp_path / "x.csv"
+    _write_sample(data, np.linspace(-1.0, 1.0, 10))
+    cfg = tmp_path / "est.json"
+    cfg.write_text(json.dumps({"data": str(data), "steps": value, "out": str(tmp_path)}))
+    assert main(["estimate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "steps must be an integer" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_verify_rejects_too_few_trials(capsys):
+    assert main(["verify", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: trials must be >= 2")
+    assert captured.out == ""

@@ -9,8 +9,8 @@ from scipy import integrate
 from mmdvi.kernel import (
     GRAM_BLOCK,
     GaussianKernel,
+    _gram_block,
     gaussian_embedding_inner,
-    gram,
     gram_sum,
     point_embedding_inner,
     self_sq,
@@ -62,17 +62,19 @@ def test_gram_matches_brute_force():
     k = GaussianKernel(3.0)
     x = rng.standard_normal((17, 2))
     y = rng.standard_normal((9, 2))
-    np.testing.assert_allclose(gram(k, x, y), brute_gram(k, x, y), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(_gram_block(k, x, y), brute_gram(k, x, y), rtol=1e-12, atol=1e-15)
 
 
 def test_gram_one_dimensional_input():
     rng = np.random.default_rng(1)
     k = GaussianKernel(1.0)
     x = rng.standard_normal(11)
-    g = gram(k, x, x)
+    g = _gram_block(k, x[:, None], x[:, None])
     assert g.shape == (11, 11)
     np.testing.assert_allclose(g, g.T, rtol=0, atol=0)
     np.testing.assert_array_equal(np.diag(g), np.ones(11))
+    # gram_sum reads 1-D input as n scalars
+    assert gram_sum(k, x, x) == gram_sum(k, x[:, None], x[:, None])
 
 
 def test_self_sq_is_row_norms():
@@ -96,7 +98,7 @@ def test_gram_sum_blocked_path_consistent():
     k = GaussianKernel(1.0)
     x = rng.standard_normal(GRAM_BLOCK + 700)
     total = gram_sum(k, x, x)
-    direct = float(gram(k, x, x).sum())
+    direct = float(_gram_block(k, x[:, None], x[:, None]).sum())
     assert total == pytest.approx(direct, rel=1e-12)
 
 
@@ -121,7 +123,7 @@ def test_gram_far_point_has_unit_diagonal(d, far):
     x = rng.standard_normal((5, d))
     x[-1] = far
     with np.errstate(over="ignore"):
-        g = gram(GaussianKernel(1.0), x, x)
+        g = _gram_block(GaussianKernel(1.0), x, x)
     np.testing.assert_array_equal(np.diag(g), np.ones(5))
     assert np.all(np.isfinite(g))
     np.testing.assert_array_equal(g[-1, :-1], 0.0)
@@ -132,7 +134,7 @@ def test_gram_far_point_has_unit_diagonal(d, far):
 def test_gram_entries_bounded_and_symmetric(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((6, 2)) * 3.0
-    g = gram(GaussianKernel(1.7), x, x)
+    g = _gram_block(GaussianKernel(1.7), x, x)
     assert np.all(g > 0.0) and np.all(g <= 1.0)
     np.testing.assert_allclose(g, g.T, rtol=0, atol=0)
 

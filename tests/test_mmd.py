@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from mmdvi.kernel import GaussianKernel, gaussian_embedding_inner
 from mmdvi.mmd import (
     CLOSED_FORM,
-    MONTE_CARLO,
-    QUADRATURE,
     U_STATISTIC,
     V_STATISTIC,
     ZERO_TOL,
@@ -24,7 +23,7 @@ from mmdvi.mmd import (
     mmd2_ustat,
     mmd2_vstat,
 )
-from mmdvi.models import ModelSpec
+from mmdvi.models import UNIFORM, ModelSpec
 
 # d=1, sigma2=1, gamma2=4, ||theta - theta'|| = 2:
 #   2 sqrt(1/2) (1 - exp(-4/8))
@@ -176,40 +175,47 @@ def test_model_vs_empirical_closed_form_expansion():
     assert est.value >= -ZERO_TOL  # squared distance
 
 
-def test_model_vs_empirical_monte_carlo_agrees():
-    rng = np.random.default_rng(6)
-    k = GaussianKernel(2.0)
-    model = ModelSpec.gaussian(1, sigma2=1.0)
-    theta = np.array([0.5])
-    x = 0.5 + rng.standard_normal((60, 1))
-    exact = mmd2_model_vs_empirical(k, model, theta, x).value
-    reps = 400
-    vals = np.empty(reps)
-    for r in range(reps):
-        vals[r] = mmd2_model_vs_empirical(
-            k, model, theta, x, method="monte_carlo", mc_samples=64, rng=rng
-        ).value
-    se = vals.std(ddof=1) / math.sqrt(reps)
-    assert vals[0] != exact  # actually stochastic
-    assert abs(vals.mean() - exact) < 4 * se
+def _model_vs_empirical_by_quad(kernel, model, theta, x):
+    """The three MMD^2 terms by adaptive quadrature over the model density
+    (1-D): ``E k(X, X') - (2/n) sum_i E k(x_i, X) + (1/n^2) sum k(x_i, x_j)``."""
+    if model.kind == UNIFORM:
+        lo, hi = theta - model.half_width, theta + model.half_width
+
+        def density(t):
+            return 1.0 / (2 * model.half_width)
+    else:
+        sd = math.sqrt(model.sigma2)
+        lo, hi = theta - 12 * sd, theta + 12 * sd
+
+        def density(t):
+            return math.exp(-0.5 * ((t - theta) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+
+    def k(a, b):
+        return math.exp(-((a - b) ** 2) / kernel.gamma2)
+
+    pair, _ = integrate.dblquad(lambda s, t: k(s, t) * density(s) * density(t), lo, hi, lo, hi,
+                                epsabs=0, epsrel=1e-13)
+    cross = math.fsum(
+        integrate.quad(lambda t: k(xi, t) * density(t), lo, hi, epsabs=0, epsrel=1e-13)[0]
+        for xi in x[:, 0]
+    ) / len(x)
+    return pair - 2.0 * cross + math.fsum(k(a, b) for a in x[:, 0] for b in x[:, 0]) / len(x) ** 2
 
 
-def test_model_vs_empirical_quadrature_vs_monte_carlo():
+@pytest.mark.parametrize(
+    "model", [ModelSpec.gaussian(1, sigma2=0.8), ModelSpec.uniform(1, half_width=0.5)],
+    ids=["gaussian", "uniform"],
+)
+def test_model_vs_empirical_matches_quad_oracle(model):
     rng = np.random.default_rng(7)
     k = GaussianKernel(1.0)
-    model = ModelSpec.uniform(1, half_width=0.5)
-    theta = np.array([1.0])
-    x = 1.0 + (rng.random((50, 1)) - 0.5)
-    quad_est = mmd2_model_vs_empirical(k, model, theta, x)
-    assert quad_est.kind == QUADRATURE
-    reps = 400
-    vals = np.empty(reps)
-    for r in range(reps):
-        vals[r] = mmd2_model_vs_empirical(
-            k, model, theta, x, method="monte_carlo", mc_samples=64, rng=rng
-        ).value
-    se = vals.std(ddof=1) / math.sqrt(reps)
-    assert abs(vals.mean() - quad_est.value) < 4 * se
+    theta = 1.0
+    x = theta + (rng.random((20, 1)) - 0.5)
+    x[:2] = [[9.0], [-30.0]]  # far rows: their model terms are ~0 or tail values
+    est = mmd2_model_vs_empirical(k, model, np.array([theta]), x)
+    assert est.kind == CLOSED_FORM
+    want = _model_vs_empirical_by_quad(k, model, theta, x)
+    assert est.value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_model_vs_empirical_cached_data_term():
@@ -229,11 +235,9 @@ def test_model_vs_empirical_argument_errors():
     with pytest.raises(ValueError):
         mmd2_model_vs_empirical(k, model, np.array([0.0]), np.empty((0, 1)))
     with pytest.raises(ValueError):
-        mmd2_model_vs_empirical(k, model, np.array([0.0]), np.zeros((5, 1)), method="monte_carlo")
+        mmd2_model_vs_empirical(k, model, np.array([0.0]), np.zeros((5, 2)))
     with pytest.raises(ValueError):
-        mmd2_model_vs_empirical(
-            k, ModelSpec.uniform(1), np.array([0.0]), np.zeros((5, 1)), method="closed_form"
-        )
+        mmd2_model_vs_empirical(k, ModelSpec.uniform(1), np.array([0.0, 1.0]), np.zeros((5, 1)))
 
 
 def contaminated_mixture_sample(spec, n, rng):

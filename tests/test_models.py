@@ -10,12 +10,11 @@ from mmdvi.models import (
     UNIFORM,
     ModelSpec,
     sample,
-    score,
     standard_cauchy,
-    uniform_expectation_grad,
     uniform_pair_expectation,
     uniform_point_expectation,
 )
+from mmdvi.vi import FitConfig, MeanFieldGaussian, _uniform_closed_grad_stack, grad_estimate
 
 # E_{X,Y ~ U[theta-1/2, theta+1/2]} k(X, Y) for gamma2 = 4, from 200-node
 # quadrature done independently of the package code.
@@ -65,19 +64,6 @@ def test_sample_dimension_check():
         sample(ModelSpec.gaussian(2), np.zeros(3), 5, np.random.default_rng(0))
 
 
-def test_gaussian_score():
-    model = ModelSpec.gaussian(2, sigma2=4.0)
-    theta = np.array([1.0, 0.0])
-    x = np.array([[3.0, -2.0]])
-    np.testing.assert_allclose(score(model, theta, x), (x - theta) / 4.0)
-
-
-def test_uniform_score_is_refused():
-    model = ModelSpec.uniform(1)
-    with pytest.raises(ValueError):
-        score(model, np.array([0.0]), np.array([[0.1]]))
-
-
 def test_standard_cauchy_quantiles():
     # inverse-CDF construction: quartiles of C(0,1) are exactly -1 and 1
     rng = np.random.default_rng(2)
@@ -96,16 +82,41 @@ def test_standard_cauchy_matches_tangent_transform():
     np.testing.assert_allclose(draws, expected, rtol=1e-12)
 
 
+def _interval_mean(x, lo, hi, gamma2):
+    """``(1 / (hi - lo)) int_lo^hi exp(-(x - t)^2 / gamma2) dt`` to ~1e-14
+    relative, however far ``x`` lies from the interval."""
+    val, _ = integrate.quad(lambda t: math.exp(-((x - t) ** 2) / gamma2), lo, hi,
+                            epsabs=0, epsrel=1e-13)
+    return val / (hi - lo)
+
+
 def test_uniform_point_expectation_matches_quad():
-    kernel = GaussianKernel(4.0)
-    model = ModelSpec.uniform(1, half_width=0.5)
-    for theta, x in [(1.0, 0.8), (1.0, 3.0), (-0.5, -0.5), (0.0, 20.0)]:
-        val, err = integrate.quad(
-            lambda t: math.exp(-((x - t) ** 2) / 4.0), theta - 0.5, theta + 0.5,
-            epsabs=1e-13,
-        )
-        got = uniform_point_expectation(kernel, model, np.array([theta]), np.array([[x]]))
-        assert float(got[0]) == pytest.approx(val, abs=max(1e-11, 10 * err))
+    # near rows and rows 20 bandwidths away on both sides, where the values
+    # are ~1e-174 and a difference of erf values would cancel to 0
+    for a, gamma2 in [(0.5, 4.0), (0.5, 1.0), (0.2, 0.3), (1.3, 2.0)]:
+        kernel = GaussianKernel(gamma2)
+        model = ModelSpec.uniform(1, half_width=a)
+        far = 20.0 * math.sqrt(gamma2)
+        for theta, x in [(1.0, 0.8), (1.0, 3.0), (-0.5, -0.5), (0.0, 0.6 * far), (1.0, 1.0 + a),
+                         (1.0, 1.0 + a + far), (1.0, 1.0 - a - far), (-3.0, -3.0 + far)]:
+            got = uniform_point_expectation(kernel, model, np.array([theta]), np.array([[x]]))
+            want = _interval_mean(x, theta - a, theta + a, gamma2)
+            assert want > 0.0
+            assert float(got[0]) == pytest.approx(want, rel=1e-12, abs=0), (a, gamma2, theta, x)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_uniform_point_expectation_is_a_product_over_coordinates(d):
+    kernel = GaussianKernel(1.5)
+    model = ModelSpec.uniform(d, half_width=0.4)
+    rng = np.random.default_rng(d)
+    theta = rng.standard_normal(d)
+    xs = theta + 3.0 * rng.standard_normal((5, d))
+    xs[0, 0] = theta[0] + 25.0  # one far coordinate
+    got = uniform_point_expectation(kernel, model, theta, xs)
+    want = [math.prod(_interval_mean(x[j], theta[j] - 0.4, theta[j] + 0.4, 1.5) for j in range(d))
+            for x in xs]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_uniform_point_expectation_batch_shape():
@@ -128,59 +139,43 @@ def test_uniform_pair_expectation_frozen_value():
 
 
 def test_uniform_pair_expectation_matches_dblquad():
-    kernel = GaussianKernel(1.5)
-    model = ModelSpec.uniform(1, half_width=0.3)
-    val, err = integrate.dblquad(
-        lambda s, t: math.exp(-((t - s) ** 2) / 1.5) / 0.6**2,
-        -0.3, 0.3, -0.3, 0.3, epsabs=1e-12,
-    )
-    assert uniform_pair_expectation(kernel, model) == pytest.approx(
-        val, abs=max(1e-9, 10 * err)
-    )
+    for a, gamma2, d in [(0.3, 1.5, 1), (0.5, 4.0, 2), (0.05, 2.0, 1), (1.3, 0.3, 3),
+                         (4.0, 0.5, 1)]:
+        kernel = GaussianKernel(gamma2)
+        model = ModelSpec.uniform(d, half_width=a)
+        val, _ = integrate.dblquad(
+            lambda s, t: math.exp(-((t - s) ** 2) / gamma2) / (2 * a) ** 2,
+            -a, a, -a, a, epsabs=0, epsrel=1e-13,
+        )
+        got = uniform_pair_expectation(kernel, model)
+        assert got == pytest.approx(val**d, rel=1e-12, abs=0), (a, gamma2, d)
 
 
 def test_uniform_expectation_grad_matches_finite_differences():
+    # the fit's uniform gradient (endpoint kernel differences, times 1/(2a))
+    # is the theta-derivative of the density-normalised point expectation
     kernel = GaussianKernel(4.0)
-    model = ModelSpec.uniform(1, half_width=0.5)
-    m, s, z = 0.9, 0.2, -0.7
+    theta, z = 0.76, -0.7
     x = np.array([0.4, 1.1, 2.0])
     h = 1e-6
+    for a in (0.5, 0.3):
+        model = ModelSpec.uniform(1, half_width=a)
 
-    def unnormalised(theta):
-        # 2a * (density-normalised expectation)
-        return float(
-            np.sum(uniform_point_expectation(kernel, model, np.array([theta]), x[:, None]))
-        )
+        def data_term(t):
+            points = uniform_point_expectation(kernel, model, np.array([t]), x[:, None])
+            return -2.0 * float(np.mean(points))
 
-    g = uniform_expectation_grad(kernel, model, m, s, z, x)
-    theta = m + s * z
-    fd_m = (unnormalised(theta + h) - unnormalised(theta - h)) / (2 * h)
-    assert float(np.sum(g.d_dm)) == pytest.approx(fd_m, rel=1e-6)
-    np.testing.assert_allclose(g.d_ds, z * g.d_dm, rtol=1e-14)
-
-
-def test_uniform_expectation_grad_unnormalised_convention():
-    # the gradient is of the raw interval integral, not the density-weighted
-    # expectation; at half_width != 1/2 the two differ by the factor 2a
-    kernel = GaussianKernel(2.0)
-    model = ModelSpec.uniform(1, half_width=0.3)
-    m, s, z = 0.5, 0.1, 1.2
-    x = np.array([0.2, 0.9])
-    h = 1e-6
-
-    def raw_integral(theta):
-        norm = float(
-            np.sum(uniform_point_expectation(kernel, model, np.array([theta]), x[:, None]))
-        )
-        return 0.6 * norm
-
-    g = uniform_expectation_grad(kernel, model, m, s, z, x)
-    theta = m + s * z
-    fd = (raw_integral(theta + h) - raw_integral(theta - h)) / (2 * h)
-    assert float(np.sum(g.d_dm)) == pytest.approx(fd, rel=1e-6)
+        work = (np.empty((1, 1, 3)), np.empty((1, 1, 3)))
+        g_m, g_s = _uniform_closed_grad_stack(x[None], np.array([[theta]]), np.array([[z]]),
+                                              kernel.gamma2, a, work)
+        fd = (data_term(theta + h) - data_term(theta - h)) / (2 * h)
+        assert float(g_m[0, 0]) == pytest.approx(fd, rel=1e-6), a
+        assert float(g_s[0, 0]) == pytest.approx(z * float(g_m[0, 0]), rel=1e-14), a
 
 
 def test_uniform_expectation_grad_requires_1d_uniform():
     kernel = GaussianKernel(1.0)
-    with pytest.raises(ValueError):
-        uniform_expectation_grad(kernel, ModelSpec.gaussian(1), 0.0, 1.0, 0.0, 0.0)
+    q = MeanFieldGaussian(m=[0.0, 0.0], s=[1.0, 1.0])
+    with pytest.raises(ValueError, match="dim=1"):
+        grad_estimate(q, np.zeros((10, 2)), ModelSpec.uniform(2), kernel, FitConfig(),
+                      np.random.default_rng(0))
