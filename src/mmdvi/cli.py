@@ -14,6 +14,7 @@ Argument-syntax errors exit with the usual argparse status.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,6 +112,15 @@ def _as_bool(value, key: str) -> bool:
     if isinstance(value, bool):
         return value
     raise ConfigError(f"{key} must be a boolean, got {value!r}")
+
+
+def _available_cores() -> int:
+    """CPUs this process may run on (its affinity mask, which ``taskset``
+    and CPU-limited containers narrow); all the host's where the platform
+    cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _out_dir(value) -> str:
@@ -212,7 +222,7 @@ def cmd_sweep(opts: dict) -> int:
     n = _as_int(opts["n"], "n", 200)
     steps = _as_int(opts["steps"], "steps", 1000)
     step_scale = _as_float(opts["step_scale"], "step_scale", 1.0)
-    jobs = _as_int(opts["jobs"], "jobs", os.cpu_count() or 1)
+    jobs = _as_int(opts["jobs"], "jobs", _available_cores())
     seed = _as_int(opts["seed"], "seed", DEFAULT_SEED)
     out = _out_dir(opts["out"])
     try:
@@ -331,7 +341,10 @@ def cmd_verify(opts: dict) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    :func:`main` call; ``parse_args`` does not change it, and no caller may."""
     parser = argparse.ArgumentParser(
         prog="mmdvi", description="Robust location estimation with the MMD posterior."
     )

@@ -85,8 +85,8 @@ def _gram_block(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> np.ndar
 
 
 def self_sq(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms of the rows of ``x``."""
-    return np.einsum("ij,ij->i", x, x)
+    """Squared Euclidean norms along the last axis of ``x``."""
+    return np.einsum("...j,...j->...", x, x)
 
 
 def gram_sum(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> float:
@@ -157,18 +157,24 @@ def point_embedding_inner(
     Equals ``(gamma2 / (2 sigma2 + gamma2))^(d/2)
     * exp(-||x - theta||^2 / (2 sigma2 + gamma2))``: the inner product of the
     feature map at ``x`` with the embedding of the Gaussian.  ``x`` may be a
-    single point (d,) or a batch (n, d); a batch returns shape (n,).
+    single point (d,) or a batch (n, d), and ``theta`` one location (d,) or a
+    stack (T, d); each row of a stack gets the bits a call with that row
+    alone gets.  Returns a float, (n,), (T,) or (T, n).
     """
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.ndim > 2:
+        raise ValueError(f"theta must be (d,) or (T, d), got shape {theta.shape}")
     x = np.asarray(x, dtype=float)
     single = x.ndim <= 1
     pts = np.atleast_1d(x)[None, :] if single else _as_points(x, "x")
-    if pts.shape[1] != theta.size:
-        raise ValueError(f"dimension mismatch: x has d={pts.shape[1]}, theta has d={theta.size}")
-    d = theta.size
+    d = theta.shape[-1]
+    if pts.shape[1] != d:
+        raise ValueError(f"dimension mismatch: x has d={pts.shape[1]}, theta has d={d}")
     denom = 2.0 * sigma2 + kernel.gamma2
-    diff = pts - theta[None, :]
+    diff = pts - theta[..., None, :]
     vals = (kernel.gamma2 / denom) ** (d / 2.0) * np.exp(-self_sq(diff) / denom)
-    return float(vals[0]) if single else vals
+    if single:
+        vals = vals[..., 0]
+    return float(vals) if vals.ndim == 0 else vals

@@ -42,9 +42,10 @@ ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Mmd2Estimate:
-    """A squared-MMD value together with how it was computed."""
+    """A squared-MMD value together with how it was computed; ``value`` is
+    an array only for a stack of model parameters."""
 
-    value: float
+    value: float | np.ndarray
     kind: str
     n_x: int
     n_y: int
@@ -153,8 +154,11 @@ def mmd2_model_vs_empirical(
 
     The two model-side expectation terms are closed forms: the Gaussian
     embedding inner products of :mod:`.kernel` for the Gaussian model, the erf
-    forms of :mod:`.models` for the uniform model.  The data-data term is
-    exact too; pass ``data_term`` to reuse a cached value.
+    forms of :mod:`.models` for the uniform model.  The pair term is
+    location-free, so it is computed once per call.  The data-data term is
+    exact too; pass ``data_term`` to reuse a cached value.  ``theta`` is one
+    location (d,), giving a float ``value``, or a stack (T, d), giving a (T,)
+    ``value`` whose rows have the bits of T single calls.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -165,15 +169,17 @@ def mmd2_model_vs_empirical(
         raise ValueError(f"data has dimension {data.shape[1]}, model has dim {model.dim}")
     if data_term is None:
         data_term = data_kernel_term(kernel, data)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if model.kind == GAUSSIAN:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        pair = gaussian_embedding_inner(kernel, theta, theta, model.sigma2)
+        origin = np.zeros(model.dim)
+        pair = gaussian_embedding_inner(kernel, origin, origin, model.sigma2)
         cross = point_embedding_inner(kernel, data, theta, model.sigma2)
     else:
         pair = uniform_pair_expectation(kernel, model)
         cross = uniform_point_expectation(kernel, model, theta, data)
-    value = pair - 2.0 * float(np.mean(cross)) + data_term
-    return Mmd2Estimate(value=value, kind=CLOSED_FORM, n_x=data.shape[0], n_y=0)
+    value = pair - 2.0 * np.mean(cross, axis=-1) + data_term
+    return Mmd2Estimate(value=float(value) if theta.ndim == 1 else value, kind=CLOSED_FORM,
+                        n_x=data.shape[0], n_y=0)
 
 
 @dataclass(frozen=True, eq=False)

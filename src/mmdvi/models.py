@@ -110,11 +110,17 @@ def uniform_point_expectation(
     gamma``.  The difference is taken as ``erfc(lo) - erfc(hi)`` on the side
     of zero where both arguments mostly lie (mirrored when ``hi + lo < 0``), so
     a point far in either tail keeps its relative accuracy instead of
-    cancelling to 0.  ``x`` may be (d,) or (n, d); a batch returns shape (n,).
+    cancelling to 0.  ``x`` may be (d,) or (n, d), and ``theta`` one location
+    (d,) or a stack (T, d), each row of which gets the bits a call with that
+    row alone gets; returns a float, (n,), (T,) or (T, n).
     """
     if model.kind != UNIFORM:
         raise ValueError("uniform_point_expectation requires a uniform model")
-    theta = _check_theta(model, theta)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.ndim > 2 or theta.shape[-1] != model.dim:
+        raise ValueError(
+            f"theta must have shape ({model.dim},) or (T, {model.dim}), got {theta.shape}"
+        )
     x = np.asarray(x, dtype=float)
     single = x.ndim <= 1
     pts = np.atleast_2d(x.astype(float))
@@ -123,12 +129,14 @@ def uniform_point_expectation(
     a = model.half_width
     gamma = math.sqrt(kernel.gamma2)
     with np.errstate(over="ignore"):  # a far point's bounds may overflow to +-inf
-        hi = (theta + a - pts) / gamma
-        lo = (theta - a - pts) / gamma
+        hi = (theta[..., None, :] + a - pts) / gamma
+        lo = (theta[..., None, :] - a - pts) / gamma
         sgn = np.where(hi + lo < 0.0, -1.0, 1.0)
     diff = sgn * (_erfc(sgn * lo) - _erfc(sgn * hi)).astype(float)
-    out = np.prod(math.sqrt(math.pi) * gamma / (4.0 * a) * diff, axis=1)
-    return float(out[0]) if single else out
+    out = np.prod(math.sqrt(math.pi) * gamma / (4.0 * a) * diff, axis=-1)
+    if single:
+        out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def uniform_pair_expectation(kernel: GaussianKernel, model: ModelSpec) -> float:

@@ -10,8 +10,9 @@ standard Gaussian prior.  Up to a data-only constant the objective is
 minimised by projected stochastic gradient descent on ``(m, s)`` with steps
 ``eta_t = step_scale / sqrt(t)`` and box projections keeping ``s`` positive.
 One step loop, over a stack of datasets, serves both entries: :func:`fit`
-runs it on one dataset in float64 with a recorder filling the trace, and
-:func:`fit_batched` runs it on a stack, optionally in float32, unrecorded.
+runs it on one dataset in float64 with a recorder storing the path, then
+fills the trace objective once over the whole path, and :func:`fit_batched`
+runs it on a stack, optionally in float32, unrecorded.
 Each step centres the data at the current mean ``m`` in float64; the
 closed-form kernels see ``x - m`` and the offsets ``s * z`` and build each
 exponent ``-c |a - b|^2`` as one matmul ``[a, 1, |a|^2] @ [2c b; -c|b|^2; -c]``
@@ -65,13 +66,18 @@ class MeanFieldGaussian:
         return self.m.size
 
 
+def _kl_rows(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``0.5 * sum_j (m_j^2 + s_j^2 - log s_j^2 - 1)`` along the last axis."""
+    return 0.5 * np.sum(m**2 + s**2 - np.log(s**2) - 1.0, axis=-1)
+
+
 def kl_to_standard_prior(q: MeanFieldGaussian) -> float:
     """``KL(N(m, diag(s^2)) || N(0, I))`` in closed form.
 
     Equals ``0.5 * sum_j (m_j^2 + s_j^2 - log s_j^2 - 1)``; zero exactly at
     the prior itself.
     """
-    return 0.5 * float(np.sum(q.m**2 + q.s**2 - np.log(q.s**2) - 1.0))
+    return float(_kl_rows(q.m, q.s))
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,9 @@ class GradEstimate(NamedTuple):
 # Upper bound on one block's workspace in :func:`fit_batched`: small enough to
 # stay in a core's L2 cache across the passes of a step.
 BLOCK_BYTES = 1 << 20
+# Upper bound on the (path row, data point) pairs of one block of the trace
+# objective in :func:`fit`; bounds the uniform model's erfc object arrays.
+TRACE_BLOCK_PAIRS = 4096
 
 
 def _workspace(
@@ -369,7 +378,8 @@ class FitTrace:
     ``objective[t]`` is a cheap deterministic diagnostic: the plug-in
     objective at the current mean, ``MMD^2(P_{m_t}, P_hat_n) + KL(q_t)/beta``
     (not the particle-averaged objective, which would cost a full extra
-    gradient per step).  ``grad_norm_*[t]`` are the norms of the stochastic
+    gradient per step).  :func:`fit` fills it once the loop is done, for the
+    whole path at once.  ``grad_norm_*[t]`` are the norms of the stochastic
     gradient applied at step ``t``; row 0 holds NaN there.
     """
 
@@ -459,8 +469,11 @@ def fit(
     data, config, and seed the trace is reproduced bit for bit.
 
     The loop is :func:`_run` on a float64 stack of this one dataset, with a
-    recorder filling the :class:`FitTrace`.  A ``RuntimeWarning`` says when
-    the m-box clamped ``m``.
+    recorder storing each step's ``m``, ``s`` and gradient norms.  The trace
+    objective is then computed over the whole path, in blocks of at most
+    ``TRACE_BLOCK_PAIRS`` (row, data point) pairs: the data term once per fit
+    and the location-free pair term once per block, not once per step.  A ``RuntimeWarning``
+    says when the m-box clamped ``m``.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -485,19 +498,20 @@ def fit(
     trace = FitTrace(t=np.arange(rows), m=np.empty((rows, d)), s=np.empty((rows, d)),
                      objective=np.empty(rows), grad_norm_m=np.full(rows, math.nan),
                      grad_norm_s=np.full(rows, math.nan))
-    dterm = data_kernel_term(kernel, data)
-    inv_beta = config.inv_beta
 
     def record(t, m, s, g_m, g_s):
-        q = MeanFieldGaussian(m=m[0], s=s[0])
-        trace.m[t], trace.s[t] = q.m, q.s
+        trace.m[t], trace.s[t] = m[0], s[0]
         if g_m is not None:
             trace.grad_norm_m[t] = float(np.linalg.norm(g_m[0]))
             trace.grad_norm_s[t] = float(np.linalg.norm(g_s[0]))
-        est = mmd2_model_vs_empirical(kernel, model, q.m, data, data_term=dterm)
-        trace.objective[t] = est.value + inv_beta * kl_to_standard_prior(q)
 
     m, s = _run(data[None], model, kernel, config, [rng], init.m, init.s, np.float64, record)
+    dterm = data_kernel_term(kernel, data)
+    block = max(1, TRACE_BLOCK_PAIRS // data.shape[0])
+    for lo in range(0, rows, block):
+        b = slice(lo, lo + block)
+        est = mmd2_model_vs_empirical(kernel, model, trace.m[b], data, data_term=dterm)
+        trace.objective[b] = est.value + config.inv_beta * _kl_rows(trace.m[b], trace.s[b])
     return FitResult(q=MeanFieldGaussian(m=m[0], s=s[0]), trace=trace, config=config)
 
 

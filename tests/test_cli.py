@@ -1,9 +1,11 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from mmdvi import cli
 from mmdvi.cli import main
 from mmdvi.csvio import read_rmse_csv, read_trace_csv, read_trials_csv
 from mmdvi.theory import extended_prior_mass_construction, prior_mass_lower_bound
@@ -130,6 +132,24 @@ def test_sweep_identical_whatever_jobs(tmp_path):
     assert main(args_b) == 0
     assert (a / "rmse.csv").read_bytes() == (b / "rmse.csv").read_bytes()
     assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
+
+
+def test_sweep_jobs_default_counts_usable_cpus(tmp_path, monkeypatch):
+    # as under ``taskset -c 0``: the host has more CPUs than this process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = []
+    real = cli.run_sweep
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["jobs"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sweep", spy)
+    args = _sweep_args(tmp_path)
+    at = args.index("--jobs")
+    del args[at : at + 2]
+    assert main(args) == 0
+    assert seen == [1]
 
 
 def test_sweep_rejects_bad_grid(tmp_path, capsys):

@@ -212,6 +212,13 @@ def test_point_embedding_inner_batch_matches_scalar():
         assert batch[i] == pytest.approx(
             point_embedding_inner(k, xs[i], theta, 0.9), rel=1e-14
         )
+    # a (T, d) stack of locations: one row of values per location, bitwise
+    thetas = np.array([theta, theta + 1.0, [1e200, -3.0]])
+    stack = point_embedding_inner(k, xs, thetas, 0.9)
+    assert stack.shape == (3, 12)
+    for t in range(3):
+        assert stack[t].tobytes() == point_embedding_inner(k, xs, thetas[t], 0.9).tobytes()
+    assert point_embedding_inner(k, xs[0], thetas, 0.9).tobytes() == stack[:, 0].tobytes()
 
 
 @given(

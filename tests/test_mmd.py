@@ -214,8 +214,16 @@ def test_model_vs_empirical_matches_quad_oracle(model):
     x[:2] = [[9.0], [-30.0]]  # far rows: their model terms are ~0 or tail values
     est = mmd2_model_vs_empirical(k, model, np.array([theta]), x)
     assert est.kind == CLOSED_FORM
+    assert isinstance(est.value, float)
     want = _model_vs_empirical_by_quad(k, model, theta, x)
     assert est.value == pytest.approx(want, rel=1e-12, abs=0)
+    # a (T, d) stack gives each row's single-call bits, far rows included:
+    # 60 and -80 put every uniform erfc argument beyond its underflow
+    thetas = np.array([[theta], [math.pi / 7], [1e200], [-1e200], [60.0], [-80.0]])
+    stacked = mmd2_model_vs_empirical(k, model, thetas, x)
+    singles = [mmd2_model_vs_empirical(k, model, row, x).value for row in thetas]
+    assert stacked.value.shape == (6,)
+    assert stacked.value.tobytes() == np.array(singles).tobytes()
 
 
 def test_model_vs_empirical_cached_data_term():

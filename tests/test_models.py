@@ -128,6 +128,13 @@ def test_uniform_point_expectation_batch_shape():
     assert np.all(vals > 0.0) and np.all(vals <= 1.0)
     # symmetric around theta
     np.testing.assert_allclose(vals, vals[::-1], rtol=1e-12)
+    # a (T, d) stack of locations: one row of values per location, bitwise
+    thetas = np.array([[1.0], [2.5], [60.0]])
+    stack = uniform_point_expectation(kernel, model, thetas, xs)
+    assert stack.shape == (3, 7)
+    for t in range(3):
+        assert stack[t].tobytes() == uniform_point_expectation(kernel, model, thetas[t], xs).tobytes()
+    assert uniform_point_expectation(kernel, model, thetas, xs[0]).tobytes() == stack[:, 0].tobytes()
 
 
 def test_uniform_pair_expectation_frozen_value():

@@ -704,14 +704,32 @@ def _reference_fit(data, model, kernel, config, rng):
     return [np.array(column) for column in zip(*rows)]
 
 
-@pytest.mark.parametrize("model", [ModelSpec.gaussian(1), ModelSpec.uniform(1)],
-                         ids=["gaussian", "uniform"])
-def test_fit_trace_matches_reference_loop_bitwise(model):
+# (model, n, FitConfig overrides).  beta_log=1 makes KL/beta count in the
+# objective; at the benchmark beta = e^{n d} it is below one ulp.  n=1500
+# spreads the trace objective over 21 blocks of TRACE_BLOCK_PAIRS, the last
+# one partial.
+@pytest.mark.parametrize(
+    "model, n, overrides",
+    [
+        (ModelSpec.gaussian(1), 40, {}),
+        (ModelSpec.uniform(1), 40, {}),
+        (ModelSpec.gaussian(3), 40, {}),
+        (ModelSpec.gaussian(15), 40, {}),
+        (ModelSpec.gaussian(3), 40, {"beta_log": 1.0}),
+        (ModelSpec.uniform(1), 40, {"beta_log": 1.0}),
+        (ModelSpec.gaussian(1), 1500, {"n_particles": 2}),
+        (ModelSpec.uniform(1), 1500, {"n_particles": 2}),
+    ],
+    ids=["gaussian", "uniform", "gaussian-d3", "gaussian-d15", "gaussian-d3-beta-e",
+         "uniform-beta-e", "gaussian-blocks", "uniform-blocks"],
+)
+def test_fit_trace_matches_reference_loop_bitwise(model, n, overrides):
+    d = model.dim
     rng = np.random.default_rng(70)
-    data = sample(model, np.array([1.0]), 40, rng)
-    data[:4] = 6.0 + rng.standard_normal((4, 1))
-    kernel = GaussianKernel.default_for_dim(1)
-    config = FitConfig.benchmark(40, 1, n_steps=40)
+    data = sample(model, np.ones(d), n, rng)
+    data[:4] = 6.0 + rng.standard_normal((4, d))
+    kernel = GaussianKernel.default_for_dim(d)
+    config = FitConfig.benchmark(n, d, n_steps=40, **overrides)
     res = fit(data, model, kernel, config, rng=np.random.default_rng(71))
     ref = _reference_fit(data, model, kernel, config, np.random.default_rng(71))
     tr = res.trace
