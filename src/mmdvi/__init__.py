@@ -9,7 +9,6 @@ prior-mass calculators that accompany it.
 from .kernel import GaussianKernel, gaussian_embedding_inner, point_embedding_inner
 from .mmd import (
     ContaminatedGaussianSpec,
-    Mmd2Estimate,
     check_empirical_convergence,
     kl_contaminated_criterion,
     minimize_criterion,
@@ -55,7 +54,6 @@ __all__ = [
     "GaussianKernel",
     "gaussian_embedding_inner",
     "point_embedding_inner",
-    "Mmd2Estimate",
     "mmd2_vstat",
     "mmd2_ustat",
     "mmd2_gaussian_closed",

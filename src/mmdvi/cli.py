@@ -4,10 +4,12 @@ Subcommands: ``estimate`` (one variational fit of one dataset), ``sweep``
 (the contamination benchmark), ``theory`` (prior-mass calculators), and
 ``verify`` (empirical convergence and contamination-criterion checks).
 
-Configuration can come from a flat JSON file (``--config``); every key
-corresponds to a long flag, unknown keys are rejected, and explicit flags win
-over file values.  Exit codes: 0 success (all checks passed for ``verify``),
-1 invalid configuration or failed verification, 2 malformed input CSV.
+Configuration can come from a flat JSON file (``--config``) whose keys are
+the subcommand's long flags, dashes written as underscores; unknown keys are
+rejected, and explicit flags win over file values.  ``estimate`` rejects an
+option, flag or key, that its data source and model never read.  Exit codes:
+0 success (all checks passed for ``verify``), 1 invalid configuration or
+failed verification, 2 malformed input CSV.
 Argument-syntax errors exit with the usual argparse status.
 """
 
@@ -40,19 +42,6 @@ class ConfigError(ValueError):
     """Invalid configuration (file or flags); maps to exit code 1."""
 
 
-KEYS = {
-    "estimate": frozenset(
-        "data problem epsilon n model sigma2 half_width gamma2 beta_log particles "
-        "steps step_scale seed out".split()
-    ),
-    "sweep": frozenset(
-        "problem epsilons reps n steps step_scale jobs seed out svg float64".split()
-    ),
-    "theory": frozenset("theta_star theta_star_norm dim n sigma2 gamma2 out".split()),
-    "verify": frozenset("trials seed".split()),
-}
-
-
 def _load_config_file(path: str, allowed: frozenset) -> dict:
     try:
         with open(path) as fh:
@@ -73,14 +62,18 @@ def _load_config_file(path: str, allowed: frozenset) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """File values under explicit flags; unset keys become None."""
-    allowed = KEYS[args.cmd]
-    file_values = _load_config_file(args.config, allowed) if args.config else {}
-    merged = {}
-    for key in allowed:
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else file_values.get(key)
-    return merged
+    """File values under explicit flags; unset keys become None.  The keys
+    are the destinations of the subcommand's flags."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("cmd", "func", "config")}
+    file_values = _load_config_file(args.config, frozenset(flags)) if args.config else {}
+    return {k: file_values.get(k) if v is None else v for k, v in flags.items()}
+
+
+def _reject_unread(opts: dict, keys: str, reason: str) -> None:
+    """Refuse options that are set but that nothing reads in this run."""
+    unread = [key for key in keys.split() if opts[key] is not None]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} not read {reason}")
 
 
 def _as_int(value, key: str, default: int | None = None) -> int | None:
@@ -140,17 +133,21 @@ def cmd_estimate(opts: dict) -> int:
         raise ConfigError("give either data or problem, not both")
 
     if opts["data"] is not None:
+        _reject_unread(opts, "epsilon n", "with a data file")
         x = csvio.read_samples(str(opts["data"]))
         d = x.shape[1]
         kind = str(opts["model"] or "gaussian")
         if kind == "gaussian":
+            _reject_unread(opts, "half_width", "by the gaussian model")
             model = ModelSpec.gaussian(d, sigma2=_as_float(opts["sigma2"], "sigma2", 1.0))
         elif kind == "uniform":
+            _reject_unread(opts, "sigma2", "by the uniform model")
             model = ModelSpec.uniform(d, half_width=_as_float(opts["half_width"], "half_width", 0.5))
         else:
             raise ConfigError(f"unknown model {kind!r}")
         rng_fit = np.random.default_rng(np.random.SeedSequence(seed))
     elif opts["problem"] is not None:
+        _reject_unread(opts, "model sigma2 half_width", "with a problem, which fixes its model")
         name = str(opts["problem"])
         if name not in PROBLEMS:
             raise ConfigError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
@@ -379,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batched kernel arithmetic in double precision")
     p.add_argument("--svg", action="store_true", default=None,
                    help="also write an RMSE-vs-rate line chart")
+    p.add_argument("--jobs", type=int, help="worker processes (default: available cores)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("theory", help="prior-mass reports for the Gaussian model")
@@ -396,16 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="datasets per sample size (default 1000)")
     p.set_defaults(func=cmd_verify)
 
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():
         p.add_argument("--config", help="flat JSON config file; flags override")
-        p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-        if p.prog.endswith("verify"):
-            continue
-        p.add_argument("--out", help="output directory (default: current)")
-    if "sweep" in sub.choices:
-        sub.choices["sweep"].add_argument(
-            "--jobs", type=int, help="worker processes (default: available cores)"
-        )
+        if name != "theory":  # theory draws nothing
+            p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+        if name != "verify":
+            p.add_argument("--out", help="output directory (default: current)")
     return parser
 
 

@@ -242,7 +242,7 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray]]:
 
 
 def run_sweep(
-    problem: str | Problem,
+    problem: str,
     n: int = 200,
     reps: int = 100,
     epsilons=DEFAULT_EPSILONS,
@@ -252,7 +252,8 @@ def run_sweep(
     jobs: int = 1,
     use_float32: bool = True,
 ) -> SweepResult:
-    """Run the full contamination sweep for one problem.
+    """Run the full contamination sweep for the problem registered in
+    :data:`PROBLEMS` under the name ``problem``.
 
     Every epsilon cell is an independent unit of work seeded from
     ``(master_seed, eps_index, rep)``, so the output is identical whatever
@@ -260,14 +261,8 @@ def run_sweep(
     precision, which makes a sweep-scale step (100 datasets, n = M = 200)
     about 1.6x faster than float64 for gauss1d and 1.8x for uniform.
     """
-    if isinstance(problem, Problem):
-        name = problem.name
-        if name not in PROBLEMS:
-            raise ValueError(f"unregistered problem {name!r}")
-    else:
-        name = problem
-        if name not in PROBLEMS:
-            raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
+    if not isinstance(problem, str) or problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}; choose from {sorted(PROBLEMS)}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if jobs < 1:
@@ -277,7 +272,7 @@ def run_sweep(
         raise ValueError("need at least one epsilon")
 
     cells = [
-        (name, n, reps, i, float(eps[i]), master_seed, n_steps, step_scale, use_float32)
+        (problem, n, reps, i, float(eps[i]), master_seed, n_steps, step_scale, use_float32)
         for i in range(eps.size)
     ]
     if jobs == 1:
@@ -286,14 +281,13 @@ def run_sweep(
         with Pool(processes=min(jobs, len(cells))) as pool:
             results = pool.map(_run_cell, cells)
 
-    prob = PROBLEMS[name]
-    methods = (MMD_METHOD, *prob.baselines)
+    methods = (MMD_METHOD, *PROBLEMS[problem].baselines)
     squared = {m: np.empty((eps.size, reps)) for m in methods}
     for eps_index, errors in results:
         for m in methods:
             squared[m][eps_index] = errors[m]
     return SweepResult(
-        problem=name,
+        problem=problem,
         n=n,
         reps=reps,
         epsilons=eps,

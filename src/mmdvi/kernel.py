@@ -8,6 +8,10 @@ which is bounded by 1, characteristic, and admits closed forms for the inner
 products of kernel mean embeddings of Gaussian location models.  Those closed
 forms are what make exact MMD computations (and the fit's exact gradients)
 possible without Monte Carlo.
+
+A sample is an (n, d) array throughout the package, and a 1-D array is read
+as n scalars (:func:`_as_points`).  :func:`point_embedding_inner` takes a
+(T, d) stack of locations and returns a (T, n) array.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ class GaussianKernel:
 
 
 def _as_points(x: np.ndarray, name: str) -> np.ndarray:
-    """Coerce input to a 2-D (n, d) float array; 1-D input is read as n scalars."""
+    """Coerce a sample to a 2-D (n, d) float array; 1-D input is read as n
+    scalars.  Every sample input of the package goes through here."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -151,30 +156,24 @@ def point_embedding_inner(
     x: np.ndarray,
     theta: np.ndarray,
     sigma2: float,
-) -> np.ndarray | float:
-    """Expectation ``E_{X ~ N(theta, sigma2 I)}[k(x, X)]`` in closed form.
+) -> np.ndarray:
+    """Expectations ``E_{X ~ N(theta, sigma2 I)}[k(x_i, X)]`` in closed form.
 
-    Equals ``(gamma2 / (2 sigma2 + gamma2))^(d/2)
-    * exp(-||x - theta||^2 / (2 sigma2 + gamma2))``: the inner product of the
-    feature map at ``x`` with the embedding of the Gaussian.  ``x`` may be a
-    single point (d,) or a batch (n, d), and ``theta`` one location (d,) or a
-    stack (T, d); each row of a stack gets the bits a call with that row
-    alone gets.  Returns a float, (n,), (T,) or (T, n).
+    Each equals ``(gamma2 / (2 sigma2 + gamma2))^(d/2)
+    * exp(-||x_i - theta||^2 / (2 sigma2 + gamma2))``: the inner product of
+    the feature map at ``x_i`` with the embedding of the Gaussian.  ``x`` is
+    an (n, d) sample and ``theta`` a (T, d) stack of locations, a (d,)
+    ``theta`` being one row; returns (T, n).
     """
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.ndim > 2:
-        raise ValueError(f"theta must be (d,) or (T, d), got shape {theta.shape}")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_1d(x)[None, :] if single else _as_points(x, "x")
-    d = theta.shape[-1]
-    if pts.shape[1] != d:
-        raise ValueError(f"dimension mismatch: x has d={pts.shape[1]}, theta has d={d}")
+    x = _as_points(x, "x")
+    stack = np.atleast_2d(np.asarray(theta, dtype=float))
+    if stack.ndim > 2:
+        raise ValueError(f"theta must be (d,) or (T, d), got shape {np.shape(theta)}")
+    d = stack.shape[1]
+    if x.shape[1] != d:
+        raise ValueError(f"dimension mismatch: x has d={x.shape[1]}, theta has d={d}")
     denom = 2.0 * sigma2 + kernel.gamma2
-    diff = pts - theta[..., None, :]
-    vals = (kernel.gamma2 / denom) ** (d / 2.0) * np.exp(-self_sq(diff) / denom)
-    if single:
-        vals = vals[..., 0]
-    return float(vals) if vals.ndim == 0 else vals
+    diff = x - stack[:, None, :]
+    return (kernel.gamma2 / denom) ** (d / 2.0) * np.exp(-self_sq(diff) / denom)

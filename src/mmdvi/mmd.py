@@ -7,6 +7,10 @@ between a location model (Gaussian or uniform, each by its one closed form)
 and an empirical measure, the population criterion under Huber
 contamination, and the empirical-convergence check ``E[MMD^2(P_hat_n, P)] <=
 1/n``.
+
+Every estimator returns a plain float; only :func:`mmd2_model_vs_empirical`
+also takes a (T, d) stack of locations, for which it returns a (T,) array.
+Samples are (n, d) arrays, a 1-D array being n scalars.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from .kernel import (
     GaussianKernel,
+    _as_points,
     gaussian_embedding_inner,
     gram_sum,
     point_embedding_inner,
@@ -30,34 +35,13 @@ from .models import (
     uniform_point_expectation,
 )
 
-# Estimator kinds carried on Mmd2Estimate for provenance.
-V_STATISTIC = "v_statistic"
-U_STATISTIC = "u_statistic"
-CLOSED_FORM = "closed_form"
-
 # A V-statistic is a squared RKHS norm; only floating-point cancellation can
 # push it below zero, and never by more than this.
 ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Mmd2Estimate:
-    """A squared-MMD value together with how it was computed; ``value`` is
-    an array only for a stack of model parameters."""
-
-    value: float | np.ndarray
-    kind: str
-    n_x: int
-    n_y: int
-
-
 def _two_samples(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
+    x, y = _as_points(x, "x"), _as_points(y, "y")
     if x.size == 0 or y.size == 0:
         raise ValueError("samples must be non-empty")
     if x.shape[1] != y.shape[1]:
@@ -65,7 +49,7 @@ def _two_samples(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def mmd2_vstat(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> Mmd2Estimate:
+def mmd2_vstat(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> float:
     """Biased (V-statistic) estimate of the squared MMD between two samples.
 
     ``(1/n^2) sum k(x_i, x_j) - (2/nm) sum k(x_i, y_j) + (1/m^2) sum k(y_i,
@@ -74,15 +58,14 @@ def mmd2_vstat(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> Mmd2Esti
     """
     x, y = _two_samples(x, y)
     n, m = x.shape[0], y.shape[0]
-    value = (
+    return (
         gram_sum(kernel, x, x) / (n * n)
         - 2.0 * gram_sum(kernel, x, y) / (n * m)
         + gram_sum(kernel, y, y) / (m * m)
     )
-    return Mmd2Estimate(value=value, kind=V_STATISTIC, n_x=n, n_y=m)
 
 
-def mmd2_ustat(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> Mmd2Estimate:
+def mmd2_ustat(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> float:
     """Unbiased (U-statistic) estimate of the squared MMD.
 
     Within-sample sums exclude the diagonal and are divided by ``n(n-1)``.
@@ -97,8 +80,7 @@ def mmd2_ustat(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> Mmd2Esti
     sxx = gram_sum(kernel, x, x) - n
     syy = gram_sum(kernel, y, y) - m
     sxy = gram_sum(kernel, x, y)
-    value = sxx / (n * (n - 1)) - 2.0 * sxy / (n * m) + syy / (m * (m - 1))
-    return Mmd2Estimate(value=value, kind=U_STATISTIC, n_x=n, n_y=m)
+    return sxx / (n * (n - 1)) - 2.0 * sxy / (n * m) + syy / (m * (m - 1))
 
 
 def mmd2_gaussian_closed(
@@ -136,9 +118,7 @@ def data_kernel_term(kernel: GaussianKernel, data: np.ndarray) -> float:
     Constant in the model parameter, so callers evaluating the model-vs-data
     MMD on a grid of parameters should compute it once and pass it through.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_points(data, "data")
     n = data.shape[0]
     return gram_sum(kernel, data, data) / (n * n)
 
@@ -149,7 +129,7 @@ def mmd2_model_vs_empirical(
     theta: np.ndarray,
     data: np.ndarray,
     data_term: float | None = None,
-) -> Mmd2Estimate:
+) -> float | np.ndarray:
     """Exact squared MMD between the model ``P_theta`` and the empirical measure.
 
     The two model-side expectation terms are closed forms: the Gaussian
@@ -157,19 +137,16 @@ def mmd2_model_vs_empirical(
     forms of :mod:`.models` for the uniform model.  The pair term is
     location-free, so it is computed once per call.  The data-data term is
     exact too; pass ``data_term`` to reuse a cached value.  ``theta`` is one
-    location (d,), giving a float ``value``, or a stack (T, d), giving a (T,)
-    ``value`` whose rows have the bits of T single calls.
+    location (d,), giving a float, or a stack (T, d), giving a (T,) array
+    whose rows have the bits of T single calls.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_points(data, "data")
     if data.size == 0:
         raise ValueError("data must be non-empty")
     if data.shape[1] != model.dim:
         raise ValueError(f"data has dimension {data.shape[1]}, model has dim {model.dim}")
     if data_term is None:
         data_term = data_kernel_term(kernel, data)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if model.kind == GAUSSIAN:
         origin = np.zeros(model.dim)
         pair = gaussian_embedding_inner(kernel, origin, origin, model.sigma2)
@@ -177,9 +154,8 @@ def mmd2_model_vs_empirical(
     else:
         pair = uniform_pair_expectation(kernel, model)
         cross = uniform_point_expectation(kernel, model, theta, data)
-    value = pair - 2.0 * np.mean(cross, axis=-1) + data_term
-    return Mmd2Estimate(value=float(value) if theta.ndim == 1 else value, kind=CLOSED_FORM,
-                        n_x=data.shape[0], n_y=0)
+    value = pair - 2.0 * np.mean(cross, axis=1) + data_term
+    return float(value[0]) if np.ndim(theta) <= 1 else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +281,7 @@ def check_empirical_convergence(
     values = np.empty(trials)
     for t in range(trials):
         data = sample(model, theta0, n, rng)
-        values[t] = mmd2_model_vs_empirical(kernel, model, theta0, data).value
+        values[t] = mmd2_model_vs_empirical(kernel, model, theta0, data)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials))
     bound = 1.0 / n

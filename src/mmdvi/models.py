@@ -7,7 +7,8 @@ Gaussian kernel expectations of the Gaussian model live in :mod:`.kernel`;
 those of the uniform model are the erf closed forms here (Briol et al.,
 arXiv 1906.05944).  Gradients in the location come from differentiating
 ``E_{X ~ P_theta}[k(x, X)]`` in ``theta``, which the variational fit does for
-both models.
+both models.  :func:`uniform_point_expectation` takes a (T, d) stack of
+locations and an (n, d) sample (1-D: n scalars) and returns a (T, n) array.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import GaussianKernel
+from .kernel import GaussianKernel, _as_points
 
 GAUSSIAN = "gaussian_location"
 UNIFORM = "uniform_location"
@@ -98,8 +99,8 @@ def uniform_point_expectation(
     model: ModelSpec,
     theta: np.ndarray,
     x: np.ndarray,
-) -> np.ndarray | float:
-    """``E_{X ~ U([theta-a, theta+a])^d}[k(x, X)]`` in closed form.
+) -> np.ndarray:
+    """``E_{X ~ U([theta-a, theta+a])^d}[k(x_i, X)]`` in closed form.
 
     The product kernel factorises over coordinates, and each factor is
 
@@ -110,33 +111,27 @@ def uniform_point_expectation(
     gamma``.  The difference is taken as ``erfc(lo) - erfc(hi)`` on the side
     of zero where both arguments mostly lie (mirrored when ``hi + lo < 0``), so
     a point far in either tail keeps its relative accuracy instead of
-    cancelling to 0.  ``x`` may be (d,) or (n, d), and ``theta`` one location
-    (d,) or a stack (T, d), each row of which gets the bits a call with that
-    row alone gets; returns a float, (n,), (T,) or (T, n).
+    cancelling to 0.  ``theta`` is a (T, d) stack of locations, a (d,)
+    ``theta`` being one row, and ``x`` an (n, d) sample; returns (T, n).
     """
     if model.kind != UNIFORM:
         raise ValueError("uniform_point_expectation requires a uniform model")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.ndim > 2 or theta.shape[-1] != model.dim:
+    stack = np.atleast_2d(np.asarray(theta, dtype=float))
+    if stack.ndim > 2 or stack.shape[1] != model.dim:
         raise ValueError(
-            f"theta must have shape ({model.dim},) or (T, {model.dim}), got {theta.shape}"
+            f"theta must have shape ({model.dim},) or (T, {model.dim}), got {np.shape(theta)}"
         )
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_2d(x.astype(float))
-    if pts.shape[1] != model.dim:
-        raise ValueError(f"x must have dimension {model.dim}, got {pts.shape[1]}")
+    x = _as_points(x, "x")
+    if x.shape[1] != model.dim:
+        raise ValueError(f"x must have dimension {model.dim}, got {x.shape[1]}")
     a = model.half_width
     gamma = math.sqrt(kernel.gamma2)
     with np.errstate(over="ignore"):  # a far point's bounds may overflow to +-inf
-        hi = (theta[..., None, :] + a - pts) / gamma
-        lo = (theta[..., None, :] - a - pts) / gamma
+        hi = (stack[:, None, :] + a - x) / gamma
+        lo = (stack[:, None, :] - a - x) / gamma
         sgn = np.where(hi + lo < 0.0, -1.0, 1.0)
     diff = sgn * (_erfc(sgn * lo) - _erfc(sgn * hi)).astype(float)
-    out = np.prod(math.sqrt(math.pi) * gamma / (4.0 * a) * diff, axis=-1)
-    if single:
-        out = out[..., 0]
-    return float(out) if out.ndim == 0 else out
+    return np.prod(math.sqrt(math.pi) * gamma / (4.0 * a) * diff, axis=-1)
 
 
 def uniform_pair_expectation(kernel: GaussianKernel, model: ModelSpec) -> float:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import GaussianKernel
+from .kernel import GaussianKernel, _as_points
 from .mmd import data_kernel_term, mmd2_model_vs_empirical
 from .models import (GAUSSIAN, UNIFORM, ModelSpec, uniform_pair_expectation,
                      uniform_point_expectation)
@@ -137,22 +137,18 @@ BLOCK_BYTES = 1 << 20
 TRACE_BLOCK_PAIRS = 4096
 
 
-def _workspace(
-    kind: str, r: int, n: int, m_particles: int, dtype
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Scratch for one stacked kernel call: an (R, n, M) buffer for the
-    Gaussian model, a pair of (R, M, n) buffers for the uniform model."""
+def _workspace(kind: str, r: int, n: int, m_particles: int, dtype) -> np.ndarray:
+    """Scratch for one stacked kernel call: (R, n, M) for the Gaussian model,
+    (R, 2M, n) for the uniform model, whose kernel fills one half per edge."""
     if kind == GAUSSIAN:
         return np.empty((r, n, m_particles), dtype)
-    return np.empty((r, m_particles, n), dtype), np.empty((r, m_particles, n), dtype)
+    return np.empty((r, 2 * m_particles, n), dtype)
 
 
 def _block_size(kind: str, n: int, m_particles: int, dtype) -> int:
     """Datasets per block of :func:`fit_batched`: as many as fit their
     :func:`_workspace` into ``BLOCK_BYTES``, and at least one."""
-    one = _workspace(kind, 1, n, m_particles, dtype)
-    per_dataset = sum(buf.nbytes for buf in (one if isinstance(one, tuple) else (one,)))
-    return max(1, BLOCK_BYTES // per_dataset)
+    return max(1, BLOCK_BYTES // _workspace(kind, 1, n, m_particles, dtype).nbytes)
 
 
 def _lift(a: np.ndarray) -> np.ndarray:
@@ -216,27 +212,23 @@ def _gauss_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray
 
 
 def _uniform_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, gamma2: float,
-                               half_width: float, work: tuple[np.ndarray, np.ndarray]
-                               ) -> tuple[np.ndarray, np.ndarray]:
+                               half_width: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the 1-D uniform model.
 
     ``x`` is (R, n); ``particles`` and ``z`` are (R, M), centred as in
     :func:`_gauss_closed_grad_stack`.  Uses the endpoint kernel differences
     ``K(theta + a - x) - K(theta - a - x)`` normalised by the uniform density
-    ``1/(2a)``.  Returns float64 (R, 1) gradients.  The lifted products
-    ``[theta +- a, 1, (theta +- a)^2] @ [2x; -x^2; -1] / gamma2`` fill the two
-    (R, M, n) ``work`` buffers (never read on entry); each is exponentiated
-    in place and reduced by one matvec.
+    ``1/(2a)``.  Returns float64 (R, 1) gradients.  One lifted product
+    ``[e, 1, e^2] @ [2x; -x^2; -1] / gamma2`` over both edges ``e = theta +-
+    a`` fills the (R, 2M, n) ``work`` buffer (never read on entry), which is
+    exponentiated in place and reduced by one matvec.
     """
     n = x.shape[1]
     m_particles = particles.shape[1]
-    right = _right(x[:, :, None], 1.0 / gamma2)
-    ones = np.ones(n, x.dtype)
-    sums = []
-    for buf, edge in zip(work, (half_width, -half_width)):
-        np.matmul(_lift((particles + edge)[:, :, None]), right, out=buf)
-        sums.append(np.matmul(np.exp(buf, out=buf), ones))  # (R, M)
-    per_particle = sums[0] - sums[1]
+    edges = np.concatenate((particles + half_width, particles - half_width), axis=1)
+    np.matmul(_lift(edges[:, :, None]), _right(x[:, :, None], 1.0 / gamma2), out=work)
+    sums = np.matmul(np.exp(work, out=work), np.ones(n, x.dtype))  # (R, 2M)
+    per_particle = sums[:, :m_particles] - sums[:, m_particles:]
     scale = -2.0 / (n * m_particles * 2.0 * half_width)
     g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
     g_s = scale * np.einsum("rm,rm->r", per_particle, z, dtype=np.float64)
@@ -273,14 +265,13 @@ def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
     r, n, d = x.shape
     for rng, z_row in zip(rngs, z):
         rng.standard_normal(out=z_row)
-    buf = work[0] if model.kind == UNIFORM else work
-    big = math.sqrt(float(np.finfo(buf.dtype).max) / (4 * d))
-    for lo in range(0, r, len(buf)):
-        b = slice(lo, min(lo + len(buf), r))
+    big = math.sqrt(float(np.finfo(work.dtype).max) / (4 * d))
+    for lo in range(0, r, len(work)):
+        b = slice(lo, min(lo + len(work), r))
         k = b.stop - lo
-        xc = np.clip(x[b] - m[b, None, :], -big, big).astype(buf.dtype, copy=False)
-        offsets = (s[b, None, :] * z[b]).astype(buf.dtype, copy=False)
-        zb = z[b].astype(buf.dtype, copy=False)
+        xc = np.clip(x[b] - m[b, None, :], -big, big).astype(work.dtype, copy=False)
+        offsets = (s[b, None, :] * z[b]).astype(work.dtype, copy=False)
+        zb = z[b].astype(work.dtype, copy=False)
         if model.kind == GAUSSIAN:
             g_m[b], g_s[b] = _gauss_closed_grad_stack(
                 xc, offsets, zb, model.sigma2, kernel.gamma2, work[:k]
@@ -288,7 +279,7 @@ def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
         else:
             g_m[b], g_s[b] = _uniform_closed_grad_stack(
                 xc[..., 0], offsets[..., 0], zb[..., 0], kernel.gamma2,
-                model.half_width, (work[0][:k], work[1][:k]),
+                model.half_width, work[:k],
             )
     inv_beta = config.inv_beta
     if inv_beta != 0.0:
@@ -312,9 +303,7 @@ def grad_estimate(
     fresh seeded generator for reproducible draws.  This is one step's gradient of the
     loop behind :func:`fit`, with a workspace of its own.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_points(data, "data")
     n, d = data.shape
     if d != model.dim or q.dim != model.dim:
         raise ValueError("data, model, and q must agree on the dimension")
@@ -344,9 +333,7 @@ def objective_exact(
     the reference the stochastic gradient is finite-difference checked
     against.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_points(data, "data")
     inv_beta = 0.0 if math.isinf(beta_log) else math.exp(-beta_log)
     dterm = data_kernel_term(kernel, data)
     if model.kind == GAUSSIAN:
@@ -475,9 +462,7 @@ def fit(
     and the location-free pair term once per block, not once per step.  A ``RuntimeWarning``
     says when the m-box clamped ``m``.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_points(data, "data")
     if data.shape[0] < 1:
         raise ValueError("data must be non-empty")
     d = data.shape[1]
@@ -510,8 +495,8 @@ def fit(
     block = max(1, TRACE_BLOCK_PAIRS // data.shape[0])
     for lo in range(0, rows, block):
         b = slice(lo, lo + block)
-        est = mmd2_model_vs_empirical(kernel, model, trace.m[b], data, data_term=dterm)
-        trace.objective[b] = est.value + config.inv_beta * _kl_rows(trace.m[b], trace.s[b])
+        mmd2 = mmd2_model_vs_empirical(kernel, model, trace.m[b], data, data_term=dterm)
+        trace.objective[b] = mmd2 + config.inv_beta * _kl_rows(trace.m[b], trace.s[b])
     return FitResult(q=MeanFieldGaussian(m=m[0], s=s[0]), trace=trace, config=config)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -63,6 +64,35 @@ def test_estimate_rejects_ambiguous_inputs(tmp_path, capsys):
     assert main(["estimate", "--problem", "not-a-problem"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "source, option",
+    [
+        (["--data", "DATA"], ["--epsilon", "0.1"]),
+        (["--data", "DATA"], ["--n", "20"]),
+        (["--data", "DATA"], ["--half-width", "3"]),
+        (["--data", "DATA", "--model", "uniform"], ["--sigma2", "9"]),
+        (["--problem", "gauss1d"], ["--model", "uniform"]),
+        (["--problem", "gauss1d"], ["--sigma2", "9"]),
+        (["--problem", "uniform"], ["--half-width", "3"]),
+    ],
+    ids=["data-epsilon", "data-n", "gaussian-half_width", "uniform-sigma2", "problem-model",
+         "problem-sigma2", "problem-half_width"],
+)
+def test_estimate_rejects_options_it_never_reads(tmp_path, capsys, source, option):
+    data = tmp_path / "x.csv"
+    _write_sample(data, np.linspace(-1.0, 1.0, 10))
+    source = [str(data) if arg == "DATA" else arg for arg in source]
+    args = ["estimate", *source, "--steps", "3", "--out", str(tmp_path)]
+    key = option[0][2:].replace("-", "_")
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({key: option[1]}))
+    for extra in (option, ["--config", str(cfg)]):
+        assert main(args + extra) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} not read")
+        assert not (tmp_path / "trace.csv").exists()
+    assert main(args) == 0
 
 
 def test_estimate_malformed_csv_exits_2(tmp_path, capsys):
@@ -223,6 +253,30 @@ def test_config_file_merging(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--reps", "2", "--out", str(out2)]) == 0
     rows = read_rmse_csv(str(out2 / "rmse.csv"))
     assert rows[0]["repetitions"] == 2
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "sweep", "theory", "verify"])
+def test_every_long_flag_is_a_config_key(tmp_path, cmd):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = [opt[2:].replace("-", "_") for action in sub.choices[cmd]._actions
+            for opt in action.option_strings if opt not in ("--help", "--config")
+            and opt.startswith("--")]
+    values = {key: i for i, key in enumerate(keys)}
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps(values))
+    assert cli._merge(parser.parse_args([cmd, "--config", str(cfg)])) == values
+
+
+def test_theory_takes_no_seed(tmp_path, capsys):
+    # theory draws nothing, so it has no seed as a flag or as a config key
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "--theta-star", "2.0", "--seed", "1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "theory.json"
+    cfg.write_text(json.dumps({"theta_star": "2.0", "seed": 1}))
+    assert main(["theory", "--config", str(cfg)]) == 1
+    assert "unknown config keys: seed" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -199,12 +199,18 @@ def test_run_sweep_single_rep_has_nan_stderr():
         assert np.all(np.isfinite(res.rmse(m)))
 
 
-def test_run_sweep_accepts_problem_object():
-    res = run_sweep(
-        PROBLEMS["uniform"], n=15, reps=2, epsilons=(0.0,), master_seed=1, n_steps=5
-    )
+def test_run_sweep_rejects_problem_object():
+    res = run_sweep("uniform", n=15, reps=2, epsilons=(0.0,), master_seed=1, n_steps=5)
     assert res.problem == "uniform"
     assert res.methods == (MMD_METHOD, "midrange", "mean")
+    # an object under a registered name is refused, not swapped for the
+    # registered problem of that name
+    problem = Problem(name="gauss1d", model=ModelSpec.gaussian(1), theta0=np.array([50.0]),
+                      outliers=PROBLEMS["gauss1d"].outliers, baselines=("mean",))
+    with pytest.raises(ValueError, match="unknown problem"):
+        run_sweep(problem, n=15, reps=2, epsilons=(0.0,), master_seed=1, n_steps=5)
+    with pytest.raises(ValueError, match="unknown problem"):
+        run_sweep(PROBLEMS["uniform"], n=15, reps=2, epsilons=(0.0,), master_seed=1, n_steps=5)
 
 
 def test_run_sweep_validation():

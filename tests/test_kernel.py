@@ -179,10 +179,10 @@ def test_embedding_inner_product_over_dimensions():
 def test_point_embedding_inner_frozen_values():
     k = GaussianKernel(4.0)
     theta = np.array([0.7])
-    assert point_embedding_inner(k, theta, theta, 1.0) == pytest.approx(
+    assert point_embedding_inner(k, theta, theta, 1.0)[0, 0] == pytest.approx(
         PT_INNER_AT_THETA, rel=1e-15
     )
-    assert point_embedding_inner(k, theta + 1.0, theta, 1.0) == pytest.approx(
+    assert point_embedding_inner(k, theta + 1.0, theta, 1.0)[0, 0] == pytest.approx(
         PT_INNER_AT_THETA_P1, rel=1e-15
     )
 
@@ -197,7 +197,7 @@ def test_point_embedding_inner_matches_quadrature():
         ) / math.sqrt(2 * math.pi * s2)
 
     val, err = integrate.quad(integrand, -12, 12, epsabs=1e-12)
-    got = point_embedding_inner(k, np.array([x]), np.array([theta]), s2)
+    got = point_embedding_inner(k, np.array([x]), np.array([theta]), s2)[0, 0]
     assert got == pytest.approx(val, abs=max(1e-10, 10 * err))
 
 
@@ -207,18 +207,18 @@ def test_point_embedding_inner_batch_matches_scalar():
     theta = np.array([0.2, -0.4])
     xs = rng.standard_normal((12, 2))
     batch = point_embedding_inner(k, xs, theta, 0.9)
-    assert batch.shape == (12,)
+    assert batch.shape == (1, 12)
     for i in range(12):
-        assert batch[i] == pytest.approx(
-            point_embedding_inner(k, xs[i], theta, 0.9), rel=1e-14
+        assert batch[0, i] == pytest.approx(
+            point_embedding_inner(k, xs[i : i + 1], theta, 0.9)[0, 0], rel=1e-14
         )
     # a (T, d) stack of locations: one row of values per location, bitwise
     thetas = np.array([theta, theta + 1.0, [1e200, -3.0]])
     stack = point_embedding_inner(k, xs, thetas, 0.9)
     assert stack.shape == (3, 12)
     for t in range(3):
-        assert stack[t].tobytes() == point_embedding_inner(k, xs, thetas[t], 0.9).tobytes()
-    assert point_embedding_inner(k, xs[0], thetas, 0.9).tobytes() == stack[:, 0].tobytes()
+        assert stack[t].tobytes() == point_embedding_inner(k, xs, thetas[t], 0.9)[0].tobytes()
+    assert point_embedding_inner(k, xs[:1], thetas, 0.9).tobytes() == stack[:, :1].tobytes()
 
 
 @given(

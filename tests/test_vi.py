@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-from mmdvi.kernel import GaussianKernel
-from mmdvi.mmd import data_kernel_term, mmd2_model_vs_empirical
-from mmdvi.models import GAUSSIAN, UNIFORM, ModelSpec, sample
+from mmdvi.kernel import GaussianKernel, gram_sum, point_embedding_inner
+from mmdvi.mmd import data_kernel_term, mmd2_model_vs_empirical, mmd2_ustat, mmd2_vstat
+from mmdvi.models import GAUSSIAN, UNIFORM, ModelSpec, sample, uniform_point_expectation
 from mmdvi.vi import (
     FitConfig,
     MeanFieldGaussian,
@@ -171,7 +171,7 @@ def _objective_by_quad(q, data, model, kernel):
 
     def integrand(theta):
         mmd2 = mmd2_model_vs_empirical(kernel, model, np.array([theta]), data, data_term=dterm)
-        return math.exp(-0.5 * ((theta - m) / s) ** 2) / (s * math.sqrt(2 * math.pi)) * mmd2.value
+        return math.exp(-0.5 * ((theta - m) / s) ** 2) / (s * math.sqrt(2 * math.pi)) * mmd2
 
     val, _ = integrate.quad(integrand, m - 14 * s, m + 14 * s, points=[m], epsabs=0,
                             epsrel=1e-13, limit=400)
@@ -582,7 +582,8 @@ def test_gauss_stack_reused_workspace_is_bitwise_fresh(d, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_uniform_stack_reused_workspace_is_bitwise_fresh(dtype):
     x, particles, z = (a[..., 0].astype(dtype) for a in _stack_inputs(2, 9, 6, 1, seed=42))
-    work = (np.full((2, 6, 9), np.nan, dtype), np.full((2, 6, 9), np.inf, dtype))
+    work = np.full((2, 12, 9), np.nan, dtype)
+    work[:, 6:] = np.inf
     _uniform_closed_grad_stack(x, particles - 2.0, z, 1.0, 0.5, work)
     reused = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, work)
     fresh_work = _workspace(UNIFORM, 2, 9, 6, dtype)
@@ -692,7 +693,7 @@ def _reference_fit(data, model, kernel, config, rng):
         q = MeanFieldGaussian(m=m, s=s)
         est = mmd2_model_vs_empirical(kernel, model, m, data, data_term=dterm)
         norms = (np.linalg.norm(g.g_m), np.linalg.norm(g.g_s)) if g else (math.nan, math.nan)
-        return m, s, est.value + config.inv_beta * kl_to_standard_prior(q), *norms
+        return m, s, est + config.inv_beta * kl_to_standard_prior(q), *norms
 
     rows = [row(m, s, None)]
     for t in range(1, config.n_steps + 1):
@@ -794,3 +795,41 @@ def test_fit_batched_float32_one_outlier_of_any_size_stays_finite(d, seed, size,
         np.ones((2, d)), dtype=np.float32,
     )
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(s))
+
+
+_K = GaussianKernel(1.3)
+_Q = MeanFieldGaussian(m=[0.4], s=[0.7])
+
+
+def _fit_trace(x):
+    trace = fit(x, ModelSpec.gaussian(1), _K, FitConfig(n_steps=5, n_particles=4)).trace
+    return trace.m, trace.s, trace.objective
+
+
+# Every public function that takes a sample, as a map from the sample to
+# its outputs.
+SAMPLE_TAKERS = {
+    "gram_sum": lambda x: gram_sum(_K, x, 1.0 - x),
+    "data_kernel_term": lambda x: data_kernel_term(_K, x),
+    "mmd2_vstat": lambda x: mmd2_vstat(_K, x, 1.0 - x),
+    "mmd2_ustat": lambda x: mmd2_ustat(_K, x, 1.0 - x),
+    "mmd2_model_vs_empirical": lambda x: mmd2_model_vs_empirical(
+        _K, ModelSpec.gaussian(1), np.array([[0.2], [1.5]]), x),
+    "point_embedding_inner": lambda x: point_embedding_inner(_K, x, np.array([0.2]), 0.8),
+    "uniform_point_expectation": lambda x: uniform_point_expectation(
+        _K, ModelSpec.uniform(1), np.array([0.2]), x),
+    "objective_exact": lambda x: objective_exact(_Q, x, ModelSpec.uniform(1), _K),
+    "grad_estimate": lambda x: grad_estimate(_Q, x, ModelSpec.gaussian(1), _K,
+                                             FitConfig(n_particles=4), np.random.default_rng(3)),
+    "fit": _fit_trace,
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_TAKERS)
+def test_one_dimensional_sample_is_n_scalars(name):
+    x = 0.5 + np.random.default_rng(71).standard_normal(9)
+
+    def bits(out):
+        return [np.asarray(v).tobytes() for v in (out if isinstance(out, tuple) else (out,))]
+
+    assert bits(SAMPLE_TAKERS[name](x)) == bits(SAMPLE_TAKERS[name](x[:, None]))
