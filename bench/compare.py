@@ -3,8 +3,8 @@
 Runs ``perfbench/run.py`` in a parent and a change checkout, alternating which
 side runs first, for ``PAIRS`` pairs of every workload in ``BENCHMARK.json``
 at its ``run_seconds``; then ``TRACED_RUNS`` traced runs per side and
-workload, and ``PAIRS`` alternating pairs of a float32 ``fit_batched``
-timing at d=15, which no benchmark workload covers.  Writes one JSON file
+workload, and ``PAIRS`` alternating pairs of a float32 gauss15d ``run_sweep``
+timing (d=15), which no benchmark workload covers.  Writes one JSON file
 with each side's median and quartiles, the pair wins, the traced per-layer
 medians and every raw value::
 
@@ -33,21 +33,13 @@ TRACED_RUNS = 3
 MACHINE_KEYS = ("nproc", "cpus_usable", "cpu_model", "python", "numpy", "blas", "blas_threads")
 
 D15_PROBE = """
-import sys, time, numpy as np
-from mmdvi.kernel import GaussianKernel
-from mmdvi.models import ModelSpec
-from mmdvi.vi import FitConfig, fit_batched
-r, n, d, steps = 25, 200, 15, 4
-rng = np.random.default_rng(0)
-data = rng.standard_normal((r, n, d))
-model = ModelSpec.gaussian(d)
-config = FitConfig.benchmark(n, d, n_steps=steps)
+import sys, time
+from mmdvi.harness import run_sweep
+steps = 4
 times = []
 for rep in range(int(sys.argv[1])):
-    rngs = [np.random.default_rng(rep * r + i) for i in range(r)]
     t0 = time.perf_counter()
-    fit_batched(data, model, GaussianKernel.default_for_dim(d), config, rngs,
-                np.zeros((r, d)), np.ones((r, d)), dtype=np.float32)
+    run_sweep("gauss15d", n=200, reps=25, epsilons=(0.0,), master_seed=rep, n_steps=steps, jobs=1)
     times.append((time.perf_counter() - t0) * 1e3 / steps)
 print(sorted(times)[len(times) // 2])
 """
@@ -142,7 +134,8 @@ def main(argv=None) -> int:
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             d15[side].append(d15_ms_per_step(sides[side], 15))
     report["d15_fit_batched_ms_per_step"] = {
-        "what": "float32 fit_batched, R=25, n=M=200, d=15, median of 15 calls of 4 steps",
+        "what": "float32 run_sweep('gauss15d', n=200, reps=25, one epsilon, 4 steps, jobs=1): "
+                "median of 15 calls, ms per step, data generation and baselines included",
         **compare(d15["parent"], d15["change"], "lower"),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -33,7 +33,6 @@ from .harness import (
     OutlierSpec,
     Problem,
     SweepResult,
-    baseline,
     generate,
     run_sweep,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Problem",
     "PROBLEMS",
     "SweepResult",
-    "baseline",
     "generate",
     "run_sweep",
     "__version__",

@@ -9,7 +9,8 @@ the subcommand's long flags, dashes written as underscores; unknown keys are
 rejected, and explicit flags win over file values.  ``estimate`` rejects an
 option, flag or key, that its data source and model never read.  Exit codes:
 0 success (all checks passed for ``verify``), 1 invalid configuration or
-failed verification, 2 malformed input CSV.
+input or failed verification, 2 malformed input CSV.  :func:`main` reports
+every ``ValueError`` and ``OSError`` as one ``error:`` line on stderr.
 Argument-syntax errors exit with the usual argparse status.
 """
 
@@ -156,11 +157,7 @@ def cmd_estimate(opts: dict) -> int:
         epsilon = _as_float(opts["epsilon"], "epsilon", 0.0)
         n = _as_int(opts["n"], "n", 200)
         ss_data, ss_fit = np.random.SeedSequence(seed).spawn(2)
-        try:
-            spec = problem.contamination(epsilon)
-            x = generate(spec, n, np.random.default_rng(ss_data))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        x = generate(problem.contamination(epsilon), n, np.random.default_rng(ss_data))
         rng_fit = np.random.default_rng(ss_fit)
     else:
         raise ConfigError("estimate needs a data file or a problem name")
@@ -168,7 +165,7 @@ def cmd_estimate(opts: dict) -> int:
     n, d = x.shape
     gamma2 = _as_float(opts["gamma2"], "gamma2")
     kernel = GaussianKernel(gamma2) if gamma2 is not None else GaussianKernel.default_for_dim(d)
-    overrides = {"seed": seed}
+    overrides = {}
     if opts["beta_log"] is not None:
         overrides["beta_log"] = _as_float(opts["beta_log"], "beta_log")
     if opts["particles"] is not None:
@@ -177,11 +174,8 @@ def cmd_estimate(opts: dict) -> int:
         overrides["n_steps"] = _as_int(opts["steps"], "steps")
     if opts["step_scale"] is not None:
         overrides["step_scale"] = _as_float(opts["step_scale"], "step_scale")
-    try:
-        config = FitConfig.benchmark(n, d, **overrides)
-        result = fit(x, model, kernel, config, rng=rng_fit)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = FitConfig.benchmark(n, d, **overrides)
+    result = fit(x, model, kernel, config, rng=rng_fit)
 
     trace_path = os.path.join(out, "trace.csv")
     csvio.write_trace_csv(trace_path, result.trace)
@@ -222,20 +216,17 @@ def cmd_sweep(opts: dict) -> int:
     jobs = _as_int(opts["jobs"], "jobs", _available_cores())
     seed = _as_int(opts["seed"], "seed", DEFAULT_SEED)
     out = _out_dir(opts["out"])
-    try:
-        result = run_sweep(
-            name,
-            n=n,
-            reps=reps,
-            epsilons=epsilons,
-            master_seed=seed,
-            n_steps=steps,
-            step_scale=step_scale,
-            jobs=jobs,
-            use_float32=not _as_bool(opts["float64"], "float64"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = run_sweep(
+        name,
+        n=n,
+        reps=reps,
+        epsilons=epsilons,
+        master_seed=seed,
+        n_steps=steps,
+        step_scale=step_scale,
+        jobs=jobs,
+        use_float32=not _as_bool(opts["float64"], "float64"),
+    )
 
     rmse_path = os.path.join(out, "rmse.csv")
     trials_path = os.path.join(out, "trials.csv")
@@ -277,11 +268,8 @@ def cmd_theory(opts: dict) -> int:
     n = _as_int(opts["n"], "n", 200)
     sigma2 = _as_float(opts["sigma2"], "sigma2", 1.0)
     gamma2 = _as_float(opts["gamma2"], "gamma2", float(theta_star.size))
-    try:
-        report = prior_mass_lower_bound(theta_star, n, sigma2, gamma2)
-        extended = extended_prior_mass_construction(theta_star, n, sigma2, gamma2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = prior_mass_lower_bound(theta_star, n, sigma2, gamma2)
+    extended = extended_prior_mass_construction(theta_star, n, sigma2, gamma2)
 
     for key in (
         "n dim sigma2 gamma2 theta_star_norm s_n f_theta_star "
@@ -411,7 +399,7 @@ def main(argv=None) -> int:
     except csvio.CsvFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

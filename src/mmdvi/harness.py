@@ -119,17 +119,6 @@ BASELINES = {
 }
 
 
-def baseline(kind: str, x: np.ndarray) -> np.ndarray:
-    """Apply a named baseline estimator to an (n, d) sample.  Every estimator
-    reduces over axis -2, so it also takes an (R, n, d) stack in one call."""
-    if kind not in BASELINES:
-        raise ValueError(f"unknown baseline {kind!r}, expected one of {sorted(BASELINES)}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"need a non-empty (n, d) sample, got shape {x.shape}")
-    return BASELINES[kind](x)
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """A named benchmark problem: model, truth, outliers, and baselines."""
@@ -233,10 +222,8 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray]]:
     errors = {name: ((BASELINES[name](data) - problem.theta0) ** 2).sum(axis=1)
               for name in problem.baselines}
 
-    m_final, _ = fit_batched(
-        data, model, kernel, config, rngs, np.median(data, axis=1), np.ones((reps, d)),
-        dtype=np.float32 if use_float32 else np.float64,
-    )
+    m_final, _ = fit_batched(data, model, kernel, config, rngs,
+                             dtype=np.float32 if use_float32 else np.float64)
     errors[MMD_METHOD] = ((m_final - problem.theta0) ** 2).sum(axis=1)
     return eps_index, errors
 

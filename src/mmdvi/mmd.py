@@ -195,7 +195,7 @@ def mmd2_contaminated_criterion(
     kernel: GaussianKernel,
     spec: ContaminatedGaussianSpec,
     theta: np.ndarray,
-) -> np.ndarray | float:
+) -> np.ndarray:
     """Population squared MMD between the contaminated ``P0`` and ``N(theta, sigma2 I)``.
 
     Expanding the mixture embedding against the model embedding gives, with
@@ -207,11 +207,9 @@ def mmd2_contaminated_criterion(
 
     Minimising this over ``theta`` is equivalent to maximising the weighted
     sum of the two Gaussian bumps centred at ``theta0`` and ``theta_c``.
-    ``theta`` may be one parameter (d,) or a grid (m, d), returning (m,).
+    ``theta`` is an (m, d) grid, a (d,) parameter one row; returns (m,).
     """
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim <= 1
-    grid = np.atleast_2d(theta.astype(float))
+    grid = np.atleast_2d(np.asarray(theta, dtype=float))
     if grid.shape[1] != spec.dim:
         raise ValueError(f"theta must have dimension {spec.dim}, got {grid.shape[1]}")
     eps = spec.epsilon
@@ -221,31 +219,28 @@ def mmd2_contaminated_criterion(
     term0 = -np.expm1(-_batch_sq_dist(grid, spec.theta0) / denom)
     term_c = -np.expm1(-_batch_sq_dist(grid, spec.theta_c) / denom)
     term_cross = -math.expm1(-float(np.dot(diff_cc, diff_cc)) / denom)
-    vals = 2.0 * const * ((1.0 - eps) * term0 + eps * term_c - eps * (1.0 - eps) * term_cross)
-    return float(vals[0]) if single else vals
+    return 2.0 * const * ((1.0 - eps) * term0 + eps * term_c - eps * (1.0 - eps) * term_cross)
 
 
 def kl_contaminated_criterion(
     spec: ContaminatedGaussianSpec,
     theta: np.ndarray,
-) -> np.ndarray | float:
+) -> np.ndarray:
     """The theta-dependent part of the KL criterion under the same contamination.
 
     Up to an additive constant, minimising ``KL(P0 || N(theta, sigma2 I))``
     over ``theta`` minimises ``(1-eps) ||theta - theta0||^2 + eps ||theta -
     theta_c||^2``, whose minimiser is the mixture mean ``(1-eps) theta0 + eps
     theta_c``: the KL fit tracks the contamination linearly, while the MMD
-    criterion above stays anchored near ``theta0``.
+    criterion above stays anchored near ``theta0``.  ``theta`` is an (m, d)
+    grid, a (d,) parameter one row; returns (m,).
     """
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim <= 1
-    grid = np.atleast_2d(theta.astype(float))
+    grid = np.atleast_2d(np.asarray(theta, dtype=float))
     if grid.shape[1] != spec.dim:
         raise ValueError(f"theta must have dimension {spec.dim}, got {grid.shape[1]}")
-    vals = (1.0 - spec.epsilon) * _batch_sq_dist(grid, spec.theta0) + spec.epsilon * _batch_sq_dist(
+    return (1.0 - spec.epsilon) * _batch_sq_dist(grid, spec.theta0) + spec.epsilon * _batch_sq_dist(
         grid, spec.theta_c
     )
-    return float(vals[0]) if single else vals
 
 
 @dataclass(frozen=True)

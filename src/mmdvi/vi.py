@@ -9,10 +9,10 @@ standard Gaussian prior.  Up to a data-only constant the objective is
 
 minimised by projected stochastic gradient descent on ``(m, s)`` with steps
 ``eta_t = step_scale / sqrt(t)`` and box projections keeping ``s`` positive.
-One step loop, over a stack of datasets, serves both entries: :func:`fit`
-runs it on one dataset in float64 with a recorder storing the path, then
-fills the trace objective once over the whole path, and :func:`fit_batched`
-runs it on a stack, optionally in float32, unrecorded.
+The loop is :func:`fit_batched`: it fits a stack of datasets, optionally in
+float32, each from its componentwise median with ``s = 1``.  :func:`fit` runs
+it on one dataset in float64 with a recorder storing the path, then fills the
+trace objective once over the whole path.
 Each step centres the data at the current mean ``m`` in float64; the
 closed-form kernels see ``x - m`` and the offsets ``s * z`` and build each
 exponent ``-c |a - b|^2`` as one matmul ``[a, 1, |a|^2] @ [2c b; -c|b|^2; -c]``
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +96,6 @@ class FitConfig:
     step_scale: float = 1.0
     m_bounds: tuple[float, float] = DEFAULT_M_BOUNDS
     s_bounds: tuple[float, float] = DEFAULT_S_BOUNDS
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if math.isnan(self.beta_log):
@@ -116,8 +115,7 @@ class FitConfig:
     def benchmark(cls, n: int, dim: int, **overrides) -> "FitConfig":
         """The contamination-benchmark defaults: ``beta = exp(n * dim)``,
         ``M = n``, ``T = 1000``, ``eta_t = 1 / sqrt(t)``."""
-        cfg = cls(beta_log=float(n * dim), n_particles=n)
-        return replace(cfg, **overrides) if overrides else cfg
+        return cls(**{"beta_log": float(n * dim), "n_particles": n, **overrides})
 
     @property
     def inv_beta(self) -> float:
@@ -246,6 +244,21 @@ def _n_particles(model: ModelSpec, config: FitConfig, n: int) -> int:
     return m_particles
 
 
+def _check_stack(x: np.ndarray, model: ModelSpec) -> None:
+    """Reject an (R, n, d) data stack that is empty, has another dimension
+    than ``model``, or holds a non-finite row.  The row is named with its
+    dataset when ``R > 1``."""
+    r, n, d = x.shape
+    if r * n == 0:
+        raise ValueError("data must be non-empty")
+    if d != model.dim:
+        raise ValueError(f"data has dimension {d}, model has dim {model.dim}")
+    bad = np.argwhere(~np.isfinite(x).all(axis=2))
+    if bad.size:
+        where = f"dataset {bad[0, 0]}, " if r > 1 else ""
+        raise ValueError(f"{where}data row {bad[0, 1]} is not finite")
+
+
 def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
     """One stochastic gradient of the objective per dataset of a float64
     (R, n, d) stack ``x``, written into the rows of the float64 (R, d)
@@ -301,16 +314,18 @@ def grad_estimate(
     normal particles, differentiates the kernel expectations exactly at each,
     and adds the regulariser gradients.  Consumes the generator; call with a
     fresh seeded generator for reproducible draws.  This is one step's gradient of the
-    loop behind :func:`fit`, with a workspace of its own.
+    loop :func:`fit_batched`, with a workspace of its own.  Data that
+    :func:`fit` would reject raise the same ``ValueError``.
     """
-    data = _as_points(data, "data")
-    n, d = data.shape
-    if d != model.dim or q.dim != model.dim:
-        raise ValueError("data, model, and q must agree on the dimension")
+    x = _as_points(data, "data")[None]
+    _check_stack(x, model)
+    if q.dim != model.dim:
+        raise ValueError(f"q has dimension {q.dim}, model has dim {model.dim}")
+    _, n, d = x.shape
     m_particles = _n_particles(model, config, n)
     work = _workspace(model.kind, 1, n, m_particles, np.float64)
     z, g_m, g_s = np.empty((1, m_particles, d)), np.empty((1, d)), np.empty((1, d))
-    _grads(data[None], q.m[None], q.s[None], model, kernel, config, [rng], work, z, g_m, g_s)
+    _grads(x, q.m[None], q.s[None], model, kernel, config, [rng], work, z, g_m, g_s)
     return GradEstimate(g_m[0], g_s[0])
 
 
@@ -331,9 +346,10 @@ def objective_exact(
     with ``w^2 = gamma2 + 2 s^2``, so the average is ``gamma / w`` times the
     point expectation at ``m`` under the kernel of bandwidth ``w^2``.  This is
     the reference the stochastic gradient is finite-difference checked
-    against.
+    against.  Data that :func:`fit` would reject raise the same ``ValueError``.
     """
     data = _as_points(data, "data")
+    _check_stack(data[None], model)
     inv_beta = 0.0 if math.isinf(beta_log) else math.exp(-beta_log)
     dterm = data_kernel_term(kernel, data)
     if model.kind == GAUSSIAN:
@@ -385,31 +401,55 @@ class FitTrace:
 class FitResult:
     q: MeanFieldGaussian
     trace: FitTrace
-    config: FitConfig
 
 
-def _run(x, model, kernel, config, rngs, init_m, init_s, dtype, record=None):
-    """The projected SGD loop behind :func:`fit` and :func:`fit_batched`.
+def fit_batched(
+    data_stack: np.ndarray,
+    model: ModelSpec,
+    kernel: GaussianKernel,
+    config: FitConfig,
+    rngs: list[np.random.Generator],
+    dtype=np.float64,
+    *,
+    record=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The projected SGD loop: independent fits of a stack of datasets.
 
-    ``x`` is a finite float64 (R, n, d) stack with one generator per dataset
-    and an (R, d) start ``init_m``, ``init_s``, projected into the boxes
-    here; returns the final ``(m, s)``.  The data stay in float64; each step
-    centres them at ``m`` for the kernels, which run in ``dtype`` on one
-    workspace and one (R, M, d) draw buffer that every step overwrites (see
-    :func:`_grads`).  ``record(t, m, s, g_m, g_s)``, if given, sees the
-    (R, d) state after ``t`` updates and the gradient applied at step ``t``
-    (``None`` at t=0).  One ``RuntimeWarning`` counts the projections (the
-    start's included) that moved ``m``, naming the first dataset so clamped
-    in a stack.
+    ``data_stack`` is (R, n, d) with one generator per dataset; returns the
+    final (R, d) ``(m, s)``.  Each fit starts at its dataset's componentwise
+    median with ``s = 1``, both projected into the boxes.  Particle draws
+    come from each dataset's own stream, so every fit is identical to running
+    it alone, while the kernel arithmetic is batched across the stack
+    (optionally in float32: rounding there is orders of magnitude below the
+    Monte Carlo noise of the gradient).  Empty data, a dimension other than
+    the model's and non-finite rows raise ``ValueError``.
+
+    The data stay in float64; each step centres them at ``m`` before the
+    cast, so a float32 fit moves with a shift of the data to ~1e-10 even at
+    shifts of 1e5, and far outliers are clipped (see :func:`_grads`).  Each
+    step walks the stack in blocks of as many datasets as fit their
+    :func:`_workspace` into ``BLOCK_BYTES`` (1 MiB), so the one block-sized
+    workspace and the (R, M, d) draw buffer, allocated once per call and
+    overwritten every step, stay in a core's L2 cache.  No reduction crosses
+    datasets, so blocking changes no result.
+
+    ``record(t, m, s, g_m, g_s)``, if given, sees the (R, d) state after
+    ``t`` updates and the gradient applied at step ``t`` (``None`` at t=0);
+    :func:`fit` stores its trace this way.  One ``RuntimeWarning`` counts the
+    projections (the start's included) that moved ``m``, naming the first
+    dataset so clamped in a stack.
     """
+    x = np.asarray(data_stack, dtype=float)
+    _check_stack(x, model)
     r, n, d = x.shape
+    if len(rngs) != r:
+        raise ValueError("need one generator per dataset")
     m_particles = _n_particles(model, config, n)
     m_lo, m_hi = config.m_bounds
-    s_lo, s_hi = config.s_bounds
-    start = np.asarray(init_m, dtype=float).reshape(r, d)
+    start = np.median(x, axis=1)
     m = np.clip(start, m_lo, m_hi)
     clamps = (m != start).any(axis=1).astype(int)
-    s = np.clip(np.asarray(init_s, dtype=float).reshape(r, d), s_lo, s_hi)
+    s = np.clip(np.ones((r, d)), *config.s_bounds)
 
     block = _block_size(model.kind, n, m_particles, dtype)
     work = _workspace(model.kind, min(block, r), n, m_particles, dtype)
@@ -423,7 +463,7 @@ def _run(x, model, kernel, config, rngs, init_m, init_s, dtype, record=None):
         step = m - eta * g_m
         m = np.clip(step, m_lo, m_hi)
         clamps += (m != step).any(axis=1)
-        s = np.clip(s - eta * g_s, s_lo, s_hi)
+        s = np.clip(s - eta * g_s, *config.s_bounds)
         if record is not None:
             record(t, m, s, g_m, g_s)
     hit = np.flatnonzero(clamps)
@@ -434,7 +474,7 @@ def _run(x, model, kernel, config, rngs, init_m, init_s, dtype, record=None):
             f"{config.n_steps + 1} projections (the start's included); "
             "the estimate may sit on the box edge",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return m, s
 
@@ -444,40 +484,28 @@ def fit(
     model: ModelSpec,
     kernel: GaussianKernel | None = None,
     config: FitConfig | None = None,
-    init: MeanFieldGaussian | None = None,
     rng: np.random.Generator | None = None,
 ) -> FitResult:
     """Run the projected stochastic gradient fit and return the final
     variational Gaussian plus the full trace.
 
-    Defaults: dimension-matched kernel bandwidth, ``m`` initialised at the
-    componentwise median of the data (a cheap robust start), ``s`` at one,
-    both projected into their boxes before the first step.  With the same
-    data, config, and seed the trace is reproduced bit for bit.
+    Defaults: dimension-matched kernel bandwidth, and a generator seeded with
+    ``DEFAULT_SEED``.  ``m`` starts at the componentwise median of the data
+    (a cheap robust start) and ``s`` at one.  With the same data, config and
+    generator seed the trace is reproduced bit for bit.
 
-    The loop is :func:`_run` on a float64 stack of this one dataset, with a
-    recorder storing each step's ``m``, ``s`` and gradient norms.  The trace
-    objective is then computed over the whole path, in blocks of at most
-    ``TRACE_BLOCK_PAIRS`` (row, data point) pairs: the data term once per fit
-    and the location-free pair term once per block, not once per step.  A ``RuntimeWarning``
-    says when the m-box clamped ``m``.
+    The loop is :func:`fit_batched` on a float64 stack of this one dataset,
+    with a recorder storing each step's ``m``, ``s`` and gradient norms.  The
+    trace objective is then computed over the whole path, in blocks of at
+    most ``TRACE_BLOCK_PAIRS`` (row, data point) pairs: the data term once per
+    fit and the location-free pair term once per block, not once per step.
+    A ``RuntimeWarning`` says when the m-box clamped ``m``.
     """
     data = _as_points(data, "data")
-    if data.shape[0] < 1:
-        raise ValueError("data must be non-empty")
     d = data.shape[1]
-    if d != model.dim:
-        raise ValueError(f"data has dimension {d}, model has dim {model.dim}")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError(f"data row {bad[0]} is not finite")
     kernel = kernel or GaussianKernel.default_for_dim(d)
     config = config or FitConfig()
-    rng = rng or np.random.default_rng(config.seed)
-    if init is None:
-        init = MeanFieldGaussian(m=np.median(data, axis=0), s=np.ones(d))
-    elif init.dim != d:
-        raise ValueError(f"init has dim {init.dim}, expected {d}")
+    rng = rng or np.random.default_rng(DEFAULT_SEED)
 
     rows = config.n_steps + 1
     trace = FitTrace(t=np.arange(rows), m=np.empty((rows, d)), s=np.empty((rows, d)),
@@ -490,53 +518,11 @@ def fit(
             trace.grad_norm_m[t] = float(np.linalg.norm(g_m[0]))
             trace.grad_norm_s[t] = float(np.linalg.norm(g_s[0]))
 
-    m, s = _run(data[None], model, kernel, config, [rng], init.m, init.s, np.float64, record)
+    m, s = fit_batched(data[None], model, kernel, config, [rng], record=record)
     dterm = data_kernel_term(kernel, data)
     block = max(1, TRACE_BLOCK_PAIRS // data.shape[0])
     for lo in range(0, rows, block):
         b = slice(lo, lo + block)
         mmd2 = mmd2_model_vs_empirical(kernel, model, trace.m[b], data, data_term=dterm)
         trace.objective[b] = mmd2 + config.inv_beta * _kl_rows(trace.m[b], trace.s[b])
-    return FitResult(q=MeanFieldGaussian(m=m[0], s=s[0]), trace=trace, config=config)
-
-
-def fit_batched(
-    data_stack: np.ndarray,
-    model: ModelSpec,
-    kernel: GaussianKernel,
-    config: FitConfig,
-    rngs: list[np.random.Generator],
-    init_m: np.ndarray,
-    init_s: np.ndarray,
-    dtype=np.float64,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run independent fits on a stack of datasets.
-
-    ``data_stack`` is (R, n, d) with one generator per dataset; particle
-    draws come from each dataset's own stream, so every fit is identical to
-    running it alone, while the kernel arithmetic is batched across the
-    stack (optionally in float32: rounding there is orders of magnitude
-    below the Monte Carlo noise of the gradient).  Traces are not recorded;
-    returns the final ``(m, s)`` stacks.
-
-    The loop is :func:`_run`, the one behind :func:`fit`, with no recorder.
-    Each step walks the stack in blocks of as many datasets as fit their
-    :func:`_workspace` into ``BLOCK_BYTES`` (1 MiB), so the one block-sized
-    workspace, allocated once per call, stays in a core's L2 cache.  No
-    reduction crosses datasets, so blocking changes no result: a float64
-    stack of one dataset reproduces :func:`fit` bit for bit, and a stack
-    gives the same bits as fitting each dataset alone.  Each step centres the
-    data at ``m`` in float64 before the cast, so a float32 fit moves with a
-    shift of the data to ~1e-10 even at shifts of 1e5, and far outliers are
-    clipped (see :func:`_grads`); non-finite data raise ``ValueError``.
-    """
-    data_stack = np.asarray(data_stack, dtype=float)
-    r, n, d = data_stack.shape
-    if d != model.dim:
-        raise ValueError(f"data has dimension {d}, model has dim {model.dim}")
-    if len(rngs) != r:
-        raise ValueError("need one generator per dataset")
-    bad = np.argwhere(~np.isfinite(data_stack).all(axis=2))
-    if bad.size:
-        raise ValueError(f"dataset {bad[0, 0]}, data row {bad[0, 1]} is not finite")
-    return _run(data_stack, model, kernel, config, rngs, init_m, init_s, dtype)
+    return FitResult(q=MeanFieldGaussian(m=m[0], s=s[0]), trace=trace)

@@ -104,6 +104,31 @@ def test_estimate_malformed_csv_exits_2(tmp_path, capsys):
     assert f"{bad}:2:" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--gamma2", "0"],
+        ["--gamma2", "nan"],
+        ["--sigma2", "-1"],
+        ["--model", "uniform", "--half-width", "0"],
+        ["--data", "missing.csv"],
+    ],
+    ids=["gamma2-zero", "gamma2-nan", "sigma2-negative", "half-width-zero", "missing-data"],
+)
+def test_estimate_bad_input_exits_1_without_traceback(tmp_path, capsys, args):
+    data = tmp_path / "x.csv"
+    _write_sample(data, [1.0, 2.0, 3.0])
+    if "--data" in args:
+        args = [str(tmp_path / a) if a == "missing.csv" else a for a in args]
+    else:
+        args = ["--data", str(data), *args]
+    code = main(["estimate", *args, "--steps", "3", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_estimate_non_finite_csv_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0\n2.0\nnan\n3.0\n")

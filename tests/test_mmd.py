@@ -278,7 +278,7 @@ def test_contaminated_criterion_matches_empirical_mmd():
             mix = contaminated_mixture_sample(spec, n, rng)
             model_sample = theta + rng.standard_normal((n, 1))
             vals[r] = mmd2_ustat(k, model_sample, mix)
-        crit = mmd2_contaminated_criterion(k, spec, np.array([theta]))
+        crit = mmd2_contaminated_criterion(k, spec, np.array([[theta]]))[0]
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - crit) < 4 * se
 

@@ -79,6 +79,14 @@ def test_fit_config_benchmark_defaults():
     assert cfg15.n_steps == 50
 
 
+def test_fit_config_benchmark_applies_overrides_before_validating():
+    # n = 1 alone would mean one particle, which is invalid; the override
+    # replaces it before the check runs
+    cfg = FitConfig.benchmark(1, 1, n_particles=5)
+    assert cfg.n_particles == 5
+    assert cfg.beta_log == 1.0
+
+
 def test_inv_beta_sentinel():
     assert FitConfig(beta_log=math.inf).inv_beta == 0.0
     assert FitConfig(beta_log=0.0).inv_beta == 1.0
@@ -275,8 +283,7 @@ def test_fit_batched_clamp_warning_names_the_first_dataset():
     with pytest.warns(RuntimeWarning, match=r"in 2 of 4 datasets, first dataset 2 on 1 of 6 "):
         m, _ = fit_batched(
             data, model, GaussianKernel(1.0), FitConfig.benchmark(30, 1, n_steps=5),
-            [np.random.default_rng(i) for i in range(4)], np.median(data, axis=1),
-            np.ones((4, 1)),
+            [np.random.default_rng(i) for i in range(4)],
         )
     # clamped at the start; the regulariser then pulls m a hair inside
     np.testing.assert_allclose(m[2:, 0], [-1e6, 1e6], rtol=1e-9)
@@ -288,8 +295,6 @@ def test_fit_validation():
         fit(np.empty((0, 1)), model)
     with pytest.raises(ValueError):
         fit(np.zeros((5, 2)), model)
-    with pytest.raises(ValueError):
-        fit(np.zeros((5, 1)), model, init=MeanFieldGaussian(m=[0.0, 0.0], s=[1.0, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -300,28 +305,12 @@ def test_fit_batched_single_matches_fit(model):
     theta = np.array([1.5])
     data = sample(model, theta, 25, rng)
     config = FitConfig.benchmark(25, 1, n_steps=30)
-    init_m = np.median(data, axis=0)
-    init_s = np.ones(1)
     kernel = GaussianKernel.default_for_dim(1)
 
     seed = np.random.SeedSequence(99)
-    solo = fit(
-        data,
-        model,
-        kernel=kernel,
-        config=config,
-        init=MeanFieldGaussian(m=init_m, s=init_s),
-        rng=np.random.default_rng(seed),
-    )
+    solo = fit(data, model, kernel=kernel, config=config, rng=np.random.default_rng(seed))
     m, s = fit_batched(
-        data[None],
-        model,
-        kernel,
-        config,
-        [np.random.default_rng(seed)],
-        init_m[None],
-        init_s[None],
-        dtype=np.float64,
+        data[None], model, kernel, config, [np.random.default_rng(seed)], dtype=np.float64
     )
     # same generator stream and same float64 arithmetic: identical, not close
     np.testing.assert_array_equal(m[0], solo.q.m)
@@ -334,8 +323,6 @@ def test_fit_batched_stack_matches_individual_runs():
     config = FitConfig.benchmark(20, 1, n_steps=25)
     rng = np.random.default_rng(10)
     data = np.stack([sample(model, np.array([2.0]), 20, rng) for _ in range(3)])
-    init_m = np.median(data, axis=1)
-    init_s = np.ones((3, 1))
 
     m, s = fit_batched(
         data,
@@ -343,8 +330,6 @@ def test_fit_batched_stack_matches_individual_runs():
         kernel,
         config,
         [np.random.default_rng(np.random.SeedSequence(200 + r)) for r in range(3)],
-        init_m,
-        init_s,
         dtype=np.float64,
     )
     for r in range(3):
@@ -353,7 +338,6 @@ def test_fit_batched_stack_matches_individual_runs():
             model,
             kernel=kernel,
             config=config,
-            init=MeanFieldGaussian(m=init_m[r], s=init_s[r]),
             rng=np.random.default_rng(np.random.SeedSequence(200 + r)),
         )
         np.testing.assert_array_equal(m[r], solo.q.m)
@@ -373,18 +357,13 @@ def test_fit_batched_blocks_match_single_runs(model, dtype):
     data[:, :10] = 8.0 + rng.standard_normal((r, 10, 1))
     kernel = GaussianKernel.default_for_dim(1)
     config = FitConfig.benchmark(n, 1, n_steps=6)
-    init_m = np.median(data, axis=1)
-    init_s = np.ones((r, 1))
 
     def rngs(rows):
         return [np.random.default_rng(np.random.SeedSequence((61, i))) for i in rows]
 
-    m, s = fit_batched(data, model, kernel, config, rngs(range(r)), init_m, init_s, dtype=dtype)
+    m, s = fit_batched(data, model, kernel, config, rngs(range(r)), dtype=dtype)
     for i in range(r):
-        m1, s1 = fit_batched(
-            data[i : i + 1], model, kernel, config, rngs([i]),
-            init_m[i : i + 1], init_s[i : i + 1], dtype=dtype,
-        )
+        m1, s1 = fit_batched(data[i : i + 1], model, kernel, config, rngs([i]), dtype=dtype)
         np.testing.assert_array_equal(m[i], m1[0])
         np.testing.assert_array_equal(s[i], s1[0])
 
@@ -447,8 +426,7 @@ def test_fit_batched_float32_outlier_beyond_range_stays_finite(kind):
         rngs = [np.random.default_rng(63 + i) for i in range(2)]
         config = FitConfig.benchmark(50, 1, n_steps=40)
         results.append(fit_batched(
-            data, model, GaussianKernel(1.0), config, rngs,
-            np.median(data, axis=1), np.ones((2, 1)), dtype=np.float32,
+            data, model, GaussianKernel(1.0), config, rngs, dtype=np.float32,
         ))
     (m_far, s_far), (m_near, s_near) = results
     assert np.all(np.isfinite(m_far)) and np.all(np.isfinite(s_far))
@@ -468,8 +446,7 @@ def test_fit_batched_float32_far_outlier_at_d15_stays_finite():
         rngs = [np.random.default_rng(65 + i) for i in range(2)]
         results.append(fit_batched(
             data, ModelSpec.gaussian(15), GaussianKernel(15.0),
-            FitConfig.benchmark(50, 15, n_steps=20), rngs,
-            np.median(data, axis=1), np.ones((2, 15)), dtype=np.float32,
+            FitConfig.benchmark(50, 15, n_steps=20), rngs, dtype=np.float32,
         ))
     (m_far, s_far), (m_near, s_near) = results
     assert np.all(np.isfinite(m_far)) and np.all(np.isfinite(s_far))
@@ -494,8 +471,22 @@ def test_fit_batched_rejects_non_finite_row(kind, bad):
     with pytest.raises(ValueError, match=r"dataset 1, data row 9 is not finite"):
         fit_batched(
             data, model, GaussianKernel(1.0), FitConfig(n_steps=2),
-            [np.random.default_rng(i) for i in range(2)], np.zeros((2, 1)), np.ones((2, 1)),
+            [np.random.default_rng(i) for i in range(2)],
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [GAUSSIAN, UNIFORM])
+def test_gradient_and_objective_reject_non_finite_row(kind, bad):
+    model = ModelSpec.gaussian(1) if kind == GAUSSIAN else ModelSpec.uniform(1)
+    data = np.zeros((30, 1))
+    data[4, 0] = bad
+    data[7, 0] = math.nan
+    q, kernel = MeanFieldGaussian(m=[0.4], s=[0.7]), GaussianKernel(1.3)
+    with pytest.raises(ValueError, match=r"^data row 4 is not finite"):
+        grad_estimate(q, data, model, kernel, FitConfig(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^data row 4 is not finite"):
+        objective_exact(q, data, model, kernel)
 
 
 def _gauss_grad_reference(x, particles, z, sigma2, gamma2):
@@ -640,7 +631,7 @@ def test_fit_batched_float32_is_translation_equivariant(model):
         shifted = data + shift
         rngs = [np.random.default_rng((53, i)) for i in range(3)]
         return fit_batched(shifted, model, GaussianKernel.default_for_dim(d), config, rngs,
-                           np.median(shifted, axis=1), np.ones((3, d)), dtype=np.float32)
+                           dtype=np.float32)
 
     base_m, base_s = run(0.0)
     for shift in (1e4, 1e5):
@@ -664,8 +655,7 @@ def test_fit_with_far_outlier_raises_no_warning(model):
         res = fit(data, model, config=FitConfig.benchmark(40, d, n_steps=30))
         m, s = fit_batched(
             data[None], model, GaussianKernel.default_for_dim(d),
-            FitConfig.benchmark(40, d, n_steps=30), [np.random.default_rng(55)],
-            np.median(data, axis=0)[None], np.ones((1, d)), dtype=np.float32,
+            FitConfig.benchmark(40, d, n_steps=30), [np.random.default_rng(55)], dtype=np.float32,
         )
     assert np.all(np.isfinite(res.q.m)) and np.all(np.isfinite(res.trace.objective))
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(s))
@@ -791,8 +781,7 @@ def test_fit_batched_float32_one_outlier_of_any_size_stays_finite(d, seed, size,
     data[1, 3] = sign * size
     m, s = fit_batched(
         data, model, GaussianKernel.default_for_dim(d), FitConfig.benchmark(50, d, n_steps=20),
-        [np.random.default_rng((seed, i)) for i in range(2)], np.median(data, axis=1),
-        np.ones((2, d)), dtype=np.float32,
+        [np.random.default_rng((seed, i)) for i in range(2)], dtype=np.float32,
     )
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(s))
 
