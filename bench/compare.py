@@ -3,8 +3,10 @@
 Runs ``perfbench/run.py`` in a parent and a change checkout, alternating which
 side runs first, for ``PAIRS`` pairs of every workload in ``BENCHMARK.json``
 at its ``run_seconds``; then ``TRACED_RUNS`` traced runs per side and
-workload, and ``PAIRS`` alternating pairs of a float32 gauss15d ``run_sweep``
-timing (d=15), which no benchmark workload covers.  Writes one JSON file
+workload, and ``PAIRS`` alternating pairs of two probes that no benchmark
+workload covers: a float32 gauss15d ``run_sweep`` timing (d=15), and a float32
+uniform ``fit_batched`` timing with ``s`` held at 20, whose particle clouds
+are too wide for the uniform kernel's folded far edge.  Writes one JSON file
 with each side's median and quartiles, the pair wins, the traced per-layer
 medians and every raw value::
 
@@ -44,6 +46,26 @@ for rep in range(int(sys.argv[1])):
 print(sorted(times)[len(times) // 2])
 """
 
+WIDE_PROBE = """
+import sys, time
+import numpy as np
+from mmdvi.harness import PROBLEMS, generate
+from mmdvi.kernel import GaussianKernel
+from mmdvi.vi import FitConfig, fit_batched
+r, n, steps = 24, 200, 4
+problem = PROBLEMS["uniform"]
+data = np.stack([generate(problem.contamination(0.1), n, np.random.default_rng(i))
+                 for i in range(r)])
+config = FitConfig.benchmark(n, 1, n_steps=steps, s_bounds=(20.0, 1e3))
+times = []
+for rep in range(int(sys.argv[1])):
+    rngs = [np.random.default_rng((rep, i)) for i in range(r)]
+    t0 = time.perf_counter()
+    fit_batched(data, problem.model, GaussianKernel(1.0), config, rngs, dtype=np.float32)
+    times.append((time.perf_counter() - t0) * 1e6 / (r * steps))
+print(sorted(times)[len(times) // 2])
+"""
+
 
 def _env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src")}
@@ -79,10 +101,20 @@ def alternating(sides: dict, workload: str, seconds: float, trace: int,
     return runs, env
 
 
-def d15_ms_per_step(checkout: Path, reps: int) -> float:
-    proc = subprocess.run([sys.executable, "-c", D15_PROBE, str(reps)], cwd=checkout,
+def probe(checkout: Path, source: str, reps: int) -> float:
+    """The number a probe script prints, run in ``checkout``."""
+    proc = subprocess.run([sys.executable, "-c", source, str(reps)], cwd=checkout,
                           capture_output=True, text=True, env=_env(checkout), check=True)
     return float(proc.stdout.strip())
+
+
+def alternating_probe(sides: dict, source: str, reps: int) -> dict:
+    """``PAIRS`` runs of a probe per side, the first side alternating."""
+    values = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            values[side].append(probe(sides[side], source, reps))
+    return values
 
 
 def summary(values: list[float]) -> dict:
@@ -129,14 +161,18 @@ def main(argv=None) -> int:
                        for side, side_runs in traced.items()},
             "runs": traced,
         }
-    d15 = {"parent": [], "change": []}
-    for i in range(PAIRS):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            d15[side].append(d15_ms_per_step(sides[side], 15))
+    d15 = alternating_probe(sides, D15_PROBE, 15)
     report["d15_fit_batched_ms_per_step"] = {
         "what": "float32 run_sweep('gauss15d', n=200, reps=25, one epsilon, 4 steps, jobs=1): "
                 "median of 15 calls, ms per step, data generation and baselines included",
         **compare(d15["parent"], d15["change"], "lower"),
+    }
+    wide = alternating_probe(sides, WIDE_PROBE, 15)
+    report["uniform_wide_cloud_us_per_dataset_step"] = {
+        "what": "float32 fit_batched of 24 uniform datasets (n=M=200, epsilon 0.1, 4 steps) "
+                "with s_bounds (20, 1e3), so every particle cloud is wider than the uniform "
+                "kernel's fold bound: median of 15 calls, us per dataset-step",
+        **compare(wide["parent"], wide["change"], "lower"),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -133,14 +133,19 @@ BLOCK_BYTES = 1 << 20
 # Upper bound on the (path row, data point) pairs of one block of the trace
 # objective in :func:`fit`; bounds the uniform model's erfc object arrays.
 TRACE_BLOCK_PAIRS = 4096
+# Largest ``4a / gamma2 * max_k |p_k|`` (particle offsets ``p_k``) for which
+# the uniform kernel folds the far edge into its reduction: the factors
+# ``exp(+-30)`` lie far inside float32's range.  See
+# :func:`_uniform_closed_grad_stack`.
+FOLD_BOUND = 30.0
 
 
 def _workspace(kind: str, r: int, n: int, m_particles: int, dtype) -> np.ndarray:
-    """Scratch for one stacked kernel call: (R, n, M) for the Gaussian model,
-    (R, 2M, n) for the uniform model, whose kernel fills one half per edge."""
+    """Scratch for one stacked kernel call, n * M entries per dataset: (R, n,
+    M) for the Gaussian model, (R, M, n) for the uniform model."""
     if kind == GAUSSIAN:
         return np.empty((r, n, m_particles), dtype)
-    return np.empty((r, 2 * m_particles, n), dtype)
+    return np.empty((r, m_particles, n), dtype)
 
 
 def _block_size(kind: str, n: int, m_particles: int, dtype) -> int:
@@ -209,24 +214,57 @@ def _gauss_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray
     return g_m, g_s
 
 
+def _edge_sums(particles: np.ndarray, v: np.ndarray, c: float, weights: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
+    """``exp(-c (p_k - v_i)^2)`` for every particle ``p_k`` and point ``v_i``
+    of an (R, M) and an (R, n) stack, as one :func:`_lift` @ :func:`_right`
+    matmul and ``exp`` in place in the (R, M, n) ``work``, reduced against the
+    (R, n, j) or (n, j) ``weights``; returns (R, M, j)."""
+    np.matmul(_lift(particles[:, :, None]), _right(v[:, :, None], c), out=work)
+    return np.matmul(np.exp(work, out=work), weights)
+
+
 def _uniform_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, gamma2: float,
                                half_width: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the 1-D uniform model.
 
     ``x`` is (R, n); ``particles`` and ``z`` are (R, M), centred as in
-    :func:`_gauss_closed_grad_stack`.  Uses the endpoint kernel differences
-    ``K(theta + a - x) - K(theta - a - x)`` normalised by the uniform density
-    ``1/(2a)``.  Returns float64 (R, 1) gradients.  One lifted product
-    ``[e, 1, e^2] @ [2x; -x^2; -1] / gamma2`` over both edges ``e = theta +-
-    a`` fills the (R, 2M, n) ``work`` buffer (never read on entry), which is
-    exponentiated in place and reduced by one matvec.
+    :func:`_gauss_closed_grad_stack`: the points ``u_i`` and the offsets
+    ``p_k``.  Uses the endpoint kernel differences ``K(p_k + a - u_i) -
+    K(p_k - a - u_i)`` normalised by the uniform density
+    ``1/(2a)``.  Returns float64 (R, 1) gradients.  ``work`` is the (R, M, n)
+    buffer from :func:`_workspace`, never read on entry.
+
+    One ``exp`` per (particle, point) pair: with ``sigma_i = sign(u_i)`` and
+    ``v_i = u_i - a sigma_i`` (``|v_i| <= max(|u_i|, a)``), :func:`_edge_sums`
+    gives ``b_ik``, the kernel at point ``i``'s nearer edge.  The far edge is
+    ``b_ik exp(+-k4 p_k) q_i`` with ``k4 = 4a / gamma2`` and ``q_i = exp(-k4
+    |u_i|) <= 1``, so one reduction against ``[sigma, q [sigma > 0], q [sigma
+    < 0]]`` gives both.  The factors ``exp(+-k4 p_k)`` stay below
+    ``exp(FOLD_BOUND)``; a dataset with ``k4 max_k |p_k|`` beyond it takes
+    both edges' ``exp`` instead, upper edges in the same pass and lower edges
+    in a second one.  The choice is made per dataset, so a dataset's result
+    does not depend on the others in its stack.
     """
     n = x.shape[1]
     m_particles = particles.shape[1]
-    edges = np.concatenate((particles + half_width, particles - half_width), axis=1)
-    np.matmul(_lift(edges[:, :, None]), _right(x[:, :, None], 1.0 / gamma2), out=work)
-    sums = np.matmul(np.exp(work, out=work), np.ones(n, x.dtype))  # (R, 2M)
-    per_particle = sums[:, :m_particles] - sums[:, m_particles:]
+    k4 = 4.0 * half_width / gamma2
+    wide = np.flatnonzero(k4 * np.abs(particles).max(axis=1) > FOLD_BOUND)
+    sign = np.copysign(np.ones_like(x), x)
+    q = np.exp(-k4 * np.abs(x))
+    kp = k4 * particles
+    if wide.size:  # upper edges only here, lower edges in the second pass
+        sign[wide], q[wide], kp[wide] = 1.0, 0.0, 0.0
+    weights = np.empty(x.shape + (3,), x.dtype)
+    weights[..., 0] = sign
+    np.multiply(q, sign > 0, out=weights[..., 1])
+    np.subtract(q, weights[..., 1], out=weights[..., 2])
+    sums = _edge_sums(particles, x - half_width * sign, 1.0 / gamma2, weights, work)
+    per_particle = sums[..., 0] - np.exp(kp) * sums[..., 1] + np.exp(-kp) * sums[..., 2]
+    if wide.size:
+        lower = _edge_sums(particles[wide], x[wide] + half_width, 1.0 / gamma2,
+                           np.ones((n, 1), x.dtype), work[: wide.size])
+        per_particle[wide] -= lower[..., 0]
     scale = -2.0 / (n * m_particles * 2.0 * half_width)
     g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
     g_s = scale * np.einsum("rm,rm->r", per_particle, z, dtype=np.float64)
@@ -257,6 +295,16 @@ def _check_stack(x: np.ndarray, model: ModelSpec) -> None:
     if bad.size:
         where = f"dataset {bad[0, 0]}, " if r > 1 else ""
         raise ValueError(f"{where}data row {bad[0, 1]} is not finite")
+
+
+def _check_q_data(q: MeanFieldGaussian, data: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """``data`` as (n, d) points, checked as :func:`_check_stack` checks a
+    stack, for a ``q`` whose dimension must be the model's."""
+    data = _as_points(data, "data")
+    _check_stack(data[None], model)
+    if q.dim != model.dim:
+        raise ValueError(f"q has dimension {q.dim}, model has dim {model.dim}")
+    return data
 
 
 def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
@@ -317,10 +365,7 @@ def grad_estimate(
     loop :func:`fit_batched`, with a workspace of its own.  Data that
     :func:`fit` would reject raise the same ``ValueError``.
     """
-    x = _as_points(data, "data")[None]
-    _check_stack(x, model)
-    if q.dim != model.dim:
-        raise ValueError(f"q has dimension {q.dim}, model has dim {model.dim}")
+    x = _check_q_data(q, data, model)[None]
     _, n, d = x.shape
     m_particles = _n_particles(model, config, n)
     work = _workspace(model.kind, 1, n, m_particles, np.float64)
@@ -348,8 +393,7 @@ def objective_exact(
     the reference the stochastic gradient is finite-difference checked
     against.  Data that :func:`fit` would reject raise the same ``ValueError``.
     """
-    data = _as_points(data, "data")
-    _check_stack(data[None], model)
+    data = _check_q_data(q, data, model)
     inv_beta = 0.0 if math.isinf(beta_log) else math.exp(-beta_log)
     dterm = data_kernel_term(kernel, data)
     if model.kind == GAUSSIAN:

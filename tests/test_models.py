@@ -14,7 +14,8 @@ from mmdvi.models import (
     uniform_pair_expectation,
     uniform_point_expectation,
 )
-from mmdvi.vi import FitConfig, MeanFieldGaussian, _uniform_closed_grad_stack, grad_estimate
+from mmdvi.vi import (FitConfig, MeanFieldGaussian, _uniform_closed_grad_stack, _workspace,
+                      grad_estimate)
 
 # E_{X,Y ~ U[theta-1/2, theta+1/2]} k(X, Y) for gamma2 = 4, from 200-node
 # quadrature done independently of the package code.
@@ -172,7 +173,7 @@ def test_uniform_expectation_grad_matches_finite_differences():
             points = uniform_point_expectation(kernel, model, np.array([t]), x[:, None])
             return -2.0 * float(np.mean(points))
 
-        work = np.empty((1, 2, 3))
+        work = _workspace(UNIFORM, 1, 3, 1, np.float64)
         g_m, g_s = _uniform_closed_grad_stack(x[None], np.array([[theta]]), np.array([[z]]),
                                               kernel.gamma2, a, work)
         fd = (data_term(theta + h) - data_term(theta - h)) / (2 * h)

@@ -12,6 +12,7 @@ from mmdvi.kernel import GaussianKernel, gram_sum, point_embedding_inner
 from mmdvi.mmd import data_kernel_term, mmd2_model_vs_empirical, mmd2_ustat, mmd2_vstat
 from mmdvi.models import GAUSSIAN, UNIFORM, ModelSpec, sample, uniform_point_expectation
 from mmdvi.vi import (
+    FOLD_BOUND,
     FitConfig,
     MeanFieldGaussian,
     _block_size,
@@ -169,6 +170,16 @@ def test_grad_estimate_dimension_checks():
     with pytest.raises(ValueError):
         # a single data point with n_particles unset means one particle
         grad_estimate(q2, np.zeros((1, 2)), model, kernel, FitConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "model", [ModelSpec.gaussian(1), ModelSpec.uniform(1)], ids=["gaussian", "uniform"]
+)
+def test_objective_exact_rejects_q_of_another_dimension(model):
+    q = MeanFieldGaussian(m=[0.0, 0.0], s=[1.0, 1.0])
+    data = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="q has dimension 2, model has dim 1"):
+        objective_exact(q, data, model, GaussianKernel(1.0))
 
 
 def _objective_by_quad(q, data, model, kernel):
@@ -545,15 +556,41 @@ def test_gauss_stack_matches_per_pair_reference(d):
     np.testing.assert_allclose(g_s, ref_s, rtol=1e-12, atol=0)
 
 
-def test_uniform_stack_matches_per_pair_reference():
-    x, particles, z = _stack_inputs(3, 11, 7, 1, seed=33)
-    work = _workspace(UNIFORM, 3, 11, 7, np.float64)
-    g_m, g_s = _uniform_closed_grad_stack(
-        x[..., 0], particles[..., 0], z[..., 0], 1.0, 1.0, work
-    )
-    ref_m, ref_s = _uniform_grad_reference(x[..., 0], particles[..., 0], z[..., 0], 1.0, 1.0)
-    np.testing.assert_allclose(g_m, ref_m, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(g_s, ref_s, rtol=1e-12, atol=0)
+def _folds(particles, gamma2, half_width):
+    """Which datasets of an (R, M) particle stack the uniform kernel folds."""
+    return 4.0 * half_width / gamma2 * np.abs(particles).max(axis=1) <= FOLD_BOUND
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("spread, folded", [(0.5, True), (12.0, False)], ids=["folded", "wide"])
+def test_uniform_stack_matches_per_pair_reference(spread, folded, dtype):
+    x, _, z = (a[..., 0] for a in _stack_inputs(3, 11, 7, 1, seed=33))
+    x[:, :2] = (1e6, -1e6)  # points far out on both sides
+    x, particles, z = (a.astype(dtype) for a in (x, spread * z, z))
+    assert np.all(_folds(particles, 1.0, 1.0) == folded)
+    work = _workspace(UNIFORM, 3, 11, 7, dtype)
+    g_m, g_s = _uniform_closed_grad_stack(x, particles, z, 1.0, 1.0, work)
+    assert np.all(np.isfinite(g_m)) and np.all(np.isfinite(g_s))
+    ref_m, ref_s = _uniform_grad_reference(*(a.astype(np.float64) for a in (x, particles, z)),
+                                           1.0, 1.0)
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(g_m, ref_m, rtol=rtol, atol=0)
+    np.testing.assert_allclose(g_s, ref_s, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_uniform_stack_mixing_wide_and_folded_matches_solo_bitwise(dtype):
+    x, _, z = (a[..., 0].astype(dtype) for a in _stack_inputs(3, 9, 6, 1, seed=46))
+    particles = z * np.array([[0.5], [12.0], [0.3]], dtype)
+    assert list(_folds(particles, 1.0, 1.0)) == [True, False, True]
+    stacked = _uniform_closed_grad_stack(x, particles, z, 1.0, 1.0,
+                                         _workspace(UNIFORM, 3, 9, 6, dtype))
+    for r in range(3):
+        b = slice(r, r + 1)
+        solo = _uniform_closed_grad_stack(x[b], particles[b], z[b], 1.0, 1.0,
+                                          _workspace(UNIFORM, 1, 9, 6, dtype))
+        np.testing.assert_array_equal(stacked[0][b], solo[0])
+        np.testing.assert_array_equal(stacked[1][b], solo[1])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -573,8 +610,9 @@ def test_gauss_stack_reused_workspace_is_bitwise_fresh(d, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_uniform_stack_reused_workspace_is_bitwise_fresh(dtype):
     x, particles, z = (a[..., 0].astype(dtype) for a in _stack_inputs(2, 9, 6, 1, seed=42))
-    work = np.full((2, 12, 9), np.nan, dtype)
-    work[:, 6:] = np.inf
+    work = _workspace(UNIFORM, 2, 9, 6, dtype)
+    work.fill(np.nan)
+    work.reshape(-1)[work.size // 2 :] = np.inf
     _uniform_closed_grad_stack(x, particles - 2.0, z, 1.0, 0.5, work)
     reused = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, work)
     fresh_work = _workspace(UNIFORM, 2, 9, 6, dtype)
