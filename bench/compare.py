@@ -3,10 +3,12 @@
 Runs ``perfbench/run.py`` in a parent and a change checkout, alternating which
 side runs first, for ``PAIRS`` pairs of every workload in ``BENCHMARK.json``
 at its ``run_seconds``; then ``TRACED_RUNS`` traced runs per side and
-workload, and ``PAIRS`` alternating pairs of two probes that no benchmark
-workload covers: a float32 gauss15d ``run_sweep`` timing (d=15), and a float32
-uniform ``fit_batched`` timing with ``s`` held at 20, whose particle clouds
-are too wide for the uniform kernel's folded far edge.  Writes one JSON file
+workload, and ``PAIRS`` alternating pairs of probes that no benchmark
+workload covers: a float32 gauss15d ``run_sweep`` timing (d=15); 1000-step
+float32 ``run_sweep`` timings of uniform and gauss1d, where ``s`` collapses to
+its floor as in the acceptance sweeps; and a float32 uniform ``fit_batched``
+timing with ``s`` held at 20, whose particle clouds are too wide for the
+uniform kernel's folded far edge.  Writes one JSON file
 with each side's median and quartiles, the pair wins, the traced per-layer
 medians and every raw value::
 
@@ -43,6 +45,17 @@ for rep in range(int(sys.argv[1])):
     t0 = time.perf_counter()
     run_sweep("gauss15d", n=200, reps=25, epsilons=(0.0,), master_seed=rep, n_steps=steps, jobs=1)
     times.append((time.perf_counter() - t0) * 1e3 / steps)
+print(sorted(times)[len(times) // 2])
+"""
+
+COLLAPSED_PROBE = """
+import sys, time
+from mmdvi.harness import run_sweep
+times = []
+for rep in range(int(sys.argv[1])):
+    t0 = time.perf_counter()
+    run_sweep(sys.argv[2], reps=20, epsilons=(0.1,), master_seed=rep, n_steps=1000, jobs=1)
+    times.append(time.perf_counter() - t0)
 print(sorted(times)[len(times) // 2])
 """
 
@@ -101,19 +114,20 @@ def alternating(sides: dict, workload: str, seconds: float, trace: int,
     return runs, env
 
 
-def probe(checkout: Path, source: str, reps: int) -> float:
-    """The number a probe script prints, run in ``checkout``."""
-    proc = subprocess.run([sys.executable, "-c", source, str(reps)], cwd=checkout,
+def probe(checkout: Path, source: str, reps: int, *args: str) -> float:
+    """The number a probe script prints, run in ``checkout`` with ``reps``
+    and ``args`` as its arguments."""
+    proc = subprocess.run([sys.executable, "-c", source, str(reps), *args], cwd=checkout,
                           capture_output=True, text=True, env=_env(checkout), check=True)
     return float(proc.stdout.strip())
 
 
-def alternating_probe(sides: dict, source: str, reps: int) -> dict:
+def alternating_probe(sides: dict, source: str, reps: int, *args: str) -> dict:
     """``PAIRS`` runs of a probe per side, the first side alternating."""
     values = {"parent": [], "change": []}
     for i in range(PAIRS):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            values[side].append(probe(sides[side], source, reps))
+            values[side].append(probe(sides[side], source, reps, *args))
     return values
 
 
@@ -167,6 +181,14 @@ def main(argv=None) -> int:
                 "median of 15 calls, ms per step, data generation and baselines included",
         **compare(d15["parent"], d15["change"], "lower"),
     }
+    for problem in ("uniform", "gauss1d"):
+        runs = alternating_probe(sides, COLLAPSED_PROBE, 5, problem)
+        report[f"collapsed_{problem}_run_sweep_s"] = {
+            "what": f"float32 run_sweep('{problem}', n=200, reps=20, epsilons=(0.1,), "
+                    "n_steps=1000, jobs=1), where s collapses to its floor: median of 5 "
+                    "calls, s per call",
+            **compare(runs["parent"], runs["change"], "lower"),
+        }
     wide = alternating_probe(sides, WIDE_PROBE, 15)
     report["uniform_wide_cloud_us_per_dataset_step"] = {
         "what": "float32 fit_batched of 24 uniform datasets (n=M=200, epsilon 0.1, 4 steps) "

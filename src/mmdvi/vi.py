@@ -22,13 +22,17 @@ The one gradient estimator is reparameterised: it draws particles ``theta_k =
 m + s * z_k`` and differentiates the kernel expectation ``E_{X ~
 P_theta}[k(X_i, X)]`` exactly in ``theta`` at each (Gaussian model: the
 embedding closed form; uniform model: endpoint kernel differences).  It needs
-no synthetic sample, is unbiased, and costs O(n M) per step.
+no synthetic sample and is unbiased.  It costs O(n M) per step, except at d = 1
+once a fit's particle cloud has collapsed (at the benchmark ``beta``, ``s``
+runs to its floor): then the kernel sums come from O(n + M) weighted moments
+of a Taylor expansion whose truncation is below the kernel dtype's rounding.
 :func:`objective_exact` integrates the particles out in closed form for both
 models; it is the reference the gradient is finite-difference checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -138,6 +142,17 @@ TRACE_BLOCK_PAIRS = 4096
 # ``exp(+-30)`` lie far inside float32's range.  See
 # :func:`_uniform_closed_grad_stack`.
 FOLD_BOUND = 30.0
+# Taylor order J of the moment path: ``exp(2c v p)`` is summed to ``(2c v
+# p)^J / J!``.  See :func:`_moment_grad_stack`.
+MOMENT_ORDER = 4
+# Per kernel dtype, the largest ``tau >= |2c v p|`` at which the moment path's
+# truncation ``tau^(J+1) / (J+1)! e^tau`` stays below the unit roundoff: the
+# root of ``tau^5 / 120 e^tau = u`` (0.0918158 for u = 2^-24, 0.00167793 for
+# u = 2^-53), rounded down.
+MOMENT_TAU = {np.dtype(np.float32): 0.091815, np.dtype(np.float64): 0.0016779}
+# ``exp(-EXP_UNDERFLOW)`` is 0 in float64: a point with ``c v^2`` beyond it
+# has kernel weight exactly 0.
+EXP_UNDERFLOW = 745.2
 
 
 def _workspace(kind: str, r: int, n: int, m_particles: int, dtype) -> np.ndarray:
@@ -224,6 +239,31 @@ def _edge_sums(particles: np.ndarray, v: np.ndarray, c: float, weights: np.ndarr
     return np.matmul(np.exp(work, out=work), weights)
 
 
+def _folded_edge_sums(x: np.ndarray, particles: np.ndarray, gamma2: float, half_width: float,
+                      work: np.ndarray) -> np.ndarray:
+    """The (R, M) ``sum_i K(p_k + a - u_i) - K(p_k - a - u_i)`` of
+    :func:`_uniform_closed_grad_stack` with one ``exp`` per pair, for
+    datasets whose ``4a / gamma2 * max_k |p_k|`` is at most ``FOLD_BOUND``.
+
+    With ``sigma_i = sign(u_i)`` and ``v_i = u_i - a sigma_i`` (``|v_i| <=
+    max(|u_i|, a)``), :func:`_edge_sums` gives ``b_ik``, the kernel at point
+    ``i``'s nearer edge.  The far edge is ``b_ik exp(+-k4 p_k) q_i`` with
+    ``k4 = 4a / gamma2`` and ``q_i = exp(-k4 |u_i|) <= 1``, so one reduction
+    against ``[sigma, q [sigma > 0], q [sigma < 0]]`` gives both; the factors
+    ``exp(+-k4 p_k)`` stay below ``exp(FOLD_BOUND)``.
+    """
+    k4 = 4.0 * half_width / gamma2
+    sign = np.copysign(np.ones_like(x), x)
+    q = np.exp(-k4 * np.abs(x))
+    weights = np.empty(x.shape + (3,), x.dtype)
+    weights[..., 0] = sign
+    np.multiply(q, sign > 0, out=weights[..., 1])
+    np.subtract(q, weights[..., 1], out=weights[..., 2])
+    sums = _edge_sums(particles, x - half_width * sign, 1.0 / gamma2, weights, work)
+    kp = k4 * particles
+    return sums[..., 0] - np.exp(kp) * sums[..., 1] + np.exp(-kp) * sums[..., 2]
+
+
 def _uniform_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, gamma2: float,
                                half_width: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked closed-form data-term gradients for the 1-D uniform model.
@@ -235,40 +275,142 @@ def _uniform_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarr
     ``1/(2a)``.  Returns float64 (R, 1) gradients.  ``work`` is the (R, M, n)
     buffer from :func:`_workspace`, never read on entry.
 
-    One ``exp`` per (particle, point) pair: with ``sigma_i = sign(u_i)`` and
-    ``v_i = u_i - a sigma_i`` (``|v_i| <= max(|u_i|, a)``), :func:`_edge_sums`
-    gives ``b_ik``, the kernel at point ``i``'s nearer edge.  The far edge is
-    ``b_ik exp(+-k4 p_k) q_i`` with ``k4 = 4a / gamma2`` and ``q_i = exp(-k4
-    |u_i|) <= 1``, so one reduction against ``[sigma, q [sigma > 0], q [sigma
-    < 0]]`` gives both.  The factors ``exp(+-k4 p_k)`` stay below
-    ``exp(FOLD_BOUND)``; a dataset with ``k4 max_k |p_k|`` beyond it takes
-    both edges' ``exp`` instead, upper edges in the same pass and lower edges
-    in a second one.  The choice is made per dataset, so a dataset's result
-    does not depend on the others in its stack.
+    A dataset with ``4a / gamma2 * max_k |p_k|`` at most ``FOLD_BOUND`` takes
+    one ``exp`` per pair (:func:`_folded_edge_sums`); a wider one takes both
+    edges' ``exp``, each reduced against a ones column.  The choice is made
+    per dataset, so a dataset's result does not depend on the others in its
+    stack.
     """
     n = x.shape[1]
     m_particles = particles.shape[1]
-    k4 = 4.0 * half_width / gamma2
-    wide = np.flatnonzero(k4 * np.abs(particles).max(axis=1) > FOLD_BOUND)
-    sign = np.copysign(np.ones_like(x), x)
-    q = np.exp(-k4 * np.abs(x))
-    kp = k4 * particles
-    if wide.size:  # upper edges only here, lower edges in the second pass
-        sign[wide], q[wide], kp[wide] = 1.0, 0.0, 0.0
-    weights = np.empty(x.shape + (3,), x.dtype)
-    weights[..., 0] = sign
-    np.multiply(q, sign > 0, out=weights[..., 1])
-    np.subtract(q, weights[..., 1], out=weights[..., 2])
-    sums = _edge_sums(particles, x - half_width * sign, 1.0 / gamma2, weights, work)
-    per_particle = sums[..., 0] - np.exp(kp) * sums[..., 1] + np.exp(-kp) * sums[..., 2]
+    is_wide = 4.0 * half_width / gamma2 * np.abs(particles).max(axis=1) > FOLD_BOUND
+    fold, wide = np.flatnonzero(~is_wide), np.flatnonzero(is_wide)
+    per_particle = np.empty_like(particles)
+    if fold.size:
+        b = _rows(fold)
+        per_particle[b] = _folded_edge_sums(x[b], particles[b], gamma2, half_width,
+                                            work[: fold.size])
     if wide.size:
-        lower = _edge_sums(particles[wide], x[wide] + half_width, 1.0 / gamma2,
-                           np.ones((n, 1), x.dtype), work[: wide.size])
-        per_particle[wide] -= lower[..., 0]
+        b, ones = _rows(wide), np.ones((n, 1), x.dtype)
+        upper = _edge_sums(particles[b], x[b] - half_width, 1.0 / gamma2, ones, work[: wide.size])
+        lower = _edge_sums(particles[b], x[b] + half_width, 1.0 / gamma2, ones, work[: wide.size])
+        per_particle[b] = upper[..., 0] - lower[..., 0]
     scale = -2.0 / (n * m_particles * 2.0 * half_width)
     g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
     g_s = scale * np.einsum("rm,rm->r", per_particle, z, dtype=np.float64)
     return g_m[:, None], g_s[:, None]
+
+
+def _moment_c(model: ModelSpec, gamma2: float) -> float:
+    """The ``c`` of the d = 1 kernel ``exp(-c (v - p)^2)`` that the data term's
+    gradient sums over (point, particle) pairs."""
+    if model.kind == GAUSSIAN:
+        return 1.0 / (2.0 * model.sigma2 + gamma2)
+    return 1.0 / gamma2
+
+
+def _collapsed(s: np.ndarray, z: np.ndarray, c: float, dtype) -> np.ndarray:
+    """Which datasets of a d = 1 stack take :func:`_moment_grad_stack`.
+
+    A dataset's points farther than ``sqrt(EXP_UNDERFLOW / c)`` from ``m``
+    have kernel weight 0, so ``tau = 2c s max_k |z_k| sqrt(EXP_UNDERFLOW /
+    c)`` bounds ``|2c v p|`` over every pair with weight.  The moment path is
+    taken when ``tau <= MOMENT_TAU`` of the kernel dtype.  The rule reads only
+    the dataset's own ``s`` (R, 1) and draws ``z`` (R, M, 1), not its data.
+    """
+    reach = 2.0 * math.sqrt(EXP_UNDERFLOW * c)
+    return s[:, 0] * np.abs(z[:, :, 0]).max(axis=1) <= MOMENT_TAU[np.dtype(dtype)] / reach
+
+
+def _moment_shape(kind: str, r: int, n: int, m_particles: int) -> tuple[int, int, int]:
+    """The float64 scratch of :func:`_moment_grad_stack`: a row of points and
+    offsets, then one row per power, each holding ``edges * n + M`` entries
+    for each of ``r`` datasets (one edge for the Gaussian model, two for the
+    uniform one)."""
+    if kind == GAUSSIAN:
+        return MOMENT_ORDER + 3, r, n + m_particles
+    return MOMENT_ORDER + 2, r, 2 * n + m_particles
+
+
+@functools.lru_cache(maxsize=8)
+def _taylor_form(kind: str, c: float) -> np.ndarray:
+    """The (rows, rows) bilinear form ``C`` of :func:`_moment_grad_stack`,
+    ``sum_k per_particle_k = S^T C Q``, from ``a_j = (2c)^j / j!``."""
+    a = np.array([(2.0 * c) ** j / math.factorial(j) for j in range(MOMENT_ORDER + 1)])
+    j = np.arange(MOMENT_ORDER + 1)
+    if kind == GAUSSIAN:  # sum_j a_j (S_{j+1} Q_j - S_j Q_{j+1})
+        form = np.zeros((MOMENT_ORDER + 2,) * 2)
+        form[j + 1, j] = a
+        form[j, j + 1] = -a
+    else:  # sum_j a_j T_j Q_j
+        form = np.diag(a)
+    form.setflags(write=False)
+    return form
+
+
+def _moment_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, model: ModelSpec,
+                       gamma2: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The data-term gradients of :func:`_gauss_closed_grad_stack` (d = 1) or
+    :func:`_uniform_closed_grad_stack` for collapsed particle clouds, from
+    weighted moments.
+
+    ``x`` is the (R, n) stack of centred points ``u_i``, ``particles`` and
+    ``z`` the (R, M) offsets ``p_k`` and draws, all float64; returns float64
+    (R, 1) ``(g_m, g_s)``.  Both kernels sum ``exp(-c (v_i - p_k)^2) =
+    e^{-c v_i^2} e^{-c p_k^2} exp(2c v_i p_k)`` over pairs, with ``v_i =
+    u_i`` (Gaussian, ``c = 1 / (2 sigma2 + gamma2)``) or the two edges ``v_i
+    = u_i -+ a`` (uniform, ``c = 1 / gamma2``).  ``exp(2c v p)`` is replaced
+    by its Taylor sum to order ``J = MOMENT_ORDER``, so with the point moments
+    ``S_j = sum_i e^{-c v_i^2} v_i^j`` (uniform: ``T_j = S+_j - S-_j``) and
+    the particle moments ``Q_j = sum_k e^{-c p_k^2} p_k^j`` (and ``Q^z_j``,
+    weighted by ``z_k``), ``sum_k per_particle_k`` is ``sum_j (2c)^j / j!
+    (S_{j+1} Q_j - S_j Q_{j+1})`` (Gaussian) or ``sum_j (2c)^j / j! T_j Q_j``
+    (uniform).  That is O((n + M) J) work and one ``exp`` per point, edge and
+    particle.  The truncation is below the kernel dtype's rounding where
+    :func:`_collapsed` selects the path.
+
+    Points beyond ``sqrt(EXP_UNDERFLOW / c)`` are clipped to it, where their
+    weight is exactly 0, before any power is taken.  The powers go into
+    ``work``'s memory when it holds :func:`_moment_shape`, else into a fresh
+    buffer; ``work`` is never read on entry.  Every reduction is per dataset.
+    """
+    r, n = x.shape
+    m_particles = particles.shape[1]
+    c = _moment_c(model, gamma2)
+    shape = _moment_shape(model.kind, r, n, m_particles)
+    need = math.prod(shape) * 8
+    if work.nbytes >= need:
+        buf = work.reshape(-1).view(np.uint8)[:need].view(np.float64).reshape(shape)
+    else:
+        buf = np.empty(shape)
+    base, powers = buf[0], buf[1:]
+    points = shape[2] - m_particles
+    if model.kind == GAUSSIAN:
+        base[:, :n] = x
+    else:
+        np.subtract(x, model.half_width, out=base[:, :n])
+        np.add(x, model.half_width, out=base[:, n:points])
+    reach = math.sqrt(EXP_UNDERFLOW / c)
+    np.clip(base[:, :points], -reach, reach, out=base[:, :points])
+    base[:, points:] = particles
+    np.square(base, out=powers[0])
+    powers[0] *= -c
+    np.exp(powers[0], out=powers[0])
+    for j in range(1, len(powers)):
+        np.multiply(powers[j - 1], base, out=powers[j])
+    edges = powers[..., :points].reshape(len(powers), r, points // n, n).sum(axis=-1)
+    moments = edges[..., 0] if model.kind == GAUSSIAN else edges[..., 0] - edges[..., 1]
+    clouds = powers[..., points:]
+    weighted = np.concatenate(  # (R, rows, 2): Q_j and Q^z_j
+        (clouds.sum(axis=-1).T[..., None], np.matmul(clouds.transpose(1, 0, 2), z[:, :, None])),
+        axis=-1)
+    g = np.matmul(np.matmul(moments.T[:, None, :], _taylor_form(model.kind, c)), weighted)[:, 0]
+    if model.kind == GAUSSIAN:
+        a2 = 1.0 / c
+        scale = -math.sqrt(gamma2 / a2) * (2.0 / a2) * 2.0 / (n * m_particles)
+    else:
+        scale = -2.0 / (n * m_particles * 2.0 * model.half_width)
+    return scale * g[:, :1], scale * g[:, 1:]
 
 
 def _n_particles(model: ModelSpec, config: FitConfig, n: int) -> int:
@@ -307,15 +449,27 @@ def _check_q_data(q: MeanFieldGaussian, data: np.ndarray, model: ModelSpec) -> n
     return data
 
 
+def _rows(index: np.ndarray) -> np.ndarray | slice:
+    """A sorted index array as a slice when it is a run, so that indexing
+    with it copies nothing."""
+    if index[-1] - index[0] == index.size - 1:
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
     """One stochastic gradient of the objective per dataset of a float64
     (R, n, d) stack ``x``, written into the rows of the float64 (R, d)
     ``g_m`` and ``g_s``.  Each dataset draws its particles' normals from its
     own generator into its row of the float64 (R, M, d) ``z``.
 
-    The closed-form kernels run in the dtype of ``work`` (from
-    :func:`_workspace`), a block of as many datasets as it holds at a time;
-    no reduction crosses datasets, so blocking changes no result.  Each block
+    At d = 1, the datasets whose particle cloud has collapsed (see
+    :func:`_collapsed`) take :func:`_moment_grad_stack`, in float64, as many
+    at a time as its powers fit into ``work``'s memory.  The rest take the
+    closed-form kernels, in the dtype of ``work`` (from :func:`_workspace`), a
+    block of as many datasets as it holds at a time.  No reduction crosses
+    datasets, and the choice reads only a dataset's own ``s`` and draws, so
+    neither blocking nor the rest of the stack changes a result.  Each block
     is centred in float64 before the cast: the kernels see ``x - m``, clipped
     to ``+-sqrt(finfo(dtype).max / (4 d))``, and the offsets ``s * z``, so
     the lifted exponent (see :func:`_right`) loses no location digits, and a
@@ -326,10 +480,22 @@ def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
     r, n, d = x.shape
     for rng, z_row in zip(rngs, z):
         rng.standard_normal(out=z_row)
+    direct = np.arange(r)
+    if d == 1:
+        collapsed = _collapsed(s, z, _moment_c(model, kernel.gamma2), work.dtype)
+        if collapsed.any():
+            taylor, direct = direct[collapsed], direct[~collapsed]
+            per = math.prod(_moment_shape(model.kind, 1, n, z.shape[1])) * 8
+            chunk = max(1, work.nbytes // per)
+            for lo in range(0, taylor.size, chunk):
+                b = _rows(taylor[lo:lo + chunk])
+                zb = z[b, :, 0]
+                g_m[b], g_s[b] = _moment_grad_stack(x[b, :, 0] - m[b], s[b] * zb, zb, model,
+                                                    kernel.gamma2, work)
     big = math.sqrt(float(np.finfo(work.dtype).max) / (4 * d))
-    for lo in range(0, r, len(work)):
-        b = slice(lo, min(lo + len(work), r))
-        k = b.stop - lo
+    for lo in range(0, direct.size, len(work)):
+        rows = direct[lo:lo + len(work)]
+        b, k = _rows(rows), rows.size
         xc = np.clip(x[b] - m[b, None, :], -big, big).astype(work.dtype, copy=False)
         offsets = (s[b, None, :] * z[b]).astype(work.dtype, copy=False)
         zb = z[b].astype(work.dtype, copy=False)
@@ -466,7 +632,8 @@ def fit_batched(
     it alone, while the kernel arithmetic is batched across the stack
     (optionally in float32: rounding there is orders of magnitude below the
     Monte Carlo noise of the gradient).  Empty data, a dimension other than
-    the model's and non-finite rows raise ``ValueError``.
+    the model's and non-finite rows raise ``ValueError``, as does a
+    ``dtype`` other than float32 and float64.
 
     The data stay in float64; each step centres them at ``m`` before the
     cast, so a float32 fit moves with a shift of the data to ~1e-10 even at
@@ -475,7 +642,11 @@ def fit_batched(
     :func:`_workspace` into ``BLOCK_BYTES`` (1 MiB), so the one block-sized
     workspace and the (R, M, d) draw buffer, allocated once per call and
     overwritten every step, stay in a core's L2 cache.  No reduction crosses
-    datasets, so blocking changes no result.
+    datasets, so blocking changes no result.  At d = 1, a dataset whose ``s``
+    has collapsed (at the benchmark ``beta``, ``s`` runs to its floor) takes
+    its step's gradient from O(n + M) weighted moments in float64 instead
+    (:func:`_moment_grad_stack`), with a truncation below the rounding of
+    ``dtype``.
 
     ``record(t, m, s, g_m, g_s)``, if given, sees the (R, d) state after
     ``t`` updates and the gradient applied at step ``t`` (``None`` at t=0);
@@ -483,6 +654,8 @@ def fit_batched(
     projections (the start's included) that moved ``m``, naming the first
     dataset so clamped in a stack.
     """
+    if np.dtype(dtype) not in MOMENT_TAU:
+        raise ValueError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
     x = np.asarray(data_stack, dtype=float)
     _check_stack(x, model)
     r, n, d = x.shape

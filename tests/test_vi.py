@@ -13,11 +13,17 @@ from mmdvi.mmd import data_kernel_term, mmd2_model_vs_empirical, mmd2_ustat, mmd
 from mmdvi.models import GAUSSIAN, UNIFORM, ModelSpec, sample, uniform_point_expectation
 from mmdvi.vi import (
     FOLD_BOUND,
+    MOMENT_ORDER,
+    MOMENT_TAU,
     FitConfig,
     MeanFieldGaussian,
     _block_size,
+    _collapsed,
     _gauss_closed_grad_stack,
+    _grads,
     _lift,
+    _moment_c,
+    _moment_grad_stack,
     _right,
     _uniform_closed_grad_stack,
     _workspace,
@@ -619,6 +625,127 @@ def test_uniform_stack_reused_workspace_is_bitwise_fresh(dtype):
     fresh = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, fresh_work)
     np.testing.assert_array_equal(reused[0], fresh[0])
     np.testing.assert_array_equal(reused[1], fresh[1])
+
+
+def _pair_terms(x, particles, z, model, gamma2):
+    """Float64 per-pair terms of the (R, 1) gradients ``g_m`` and ``g_s`` of a
+    d = 1 stack, as (R, n, M) arrays; the uniform model's two edges are the
+    two halves of the last axis."""
+    scale_z = z[:, None, :]
+    with np.errstate(over="ignore"):
+        if model.kind == GAUSSIAN:
+            a2 = 2.0 * model.sigma2 + gamma2
+            scale = -math.sqrt(gamma2 / a2) * (2.0 / a2) * 2.0 / (x.shape[1] * particles.shape[1])
+            diff = x[:, :, None] - particles[:, None, :]
+            terms = scale * np.exp(-diff * diff / a2) * diff
+        else:
+            a = model.half_width
+            scale = -2.0 / (x.shape[1] * particles.shape[1] * 2.0 * a)
+            up = particles[:, None, :] + a - x[:, :, None]
+            lo = particles[:, None, :] - a - x[:, :, None]
+            terms = scale * np.concatenate((np.exp(-up * up / gamma2), -np.exp(-lo * lo / gamma2)),
+                                           axis=2)
+            scale_z = np.concatenate((scale_z, scale_z), axis=2)
+    return terms, terms * scale_z
+
+
+def _assert_within_terms(g_m, g_s, x, particles, z, model, gamma2, rel):
+    """``g_m`` and ``g_s`` equal the per-pair sums to ``rel`` of the sums of
+    the terms' magnitudes, dataset by dataset."""
+    for g, terms in zip((g_m, g_s), _pair_terms(x, particles, z, model, gamma2)):
+        bound = rel * np.abs(terms).sum(axis=(1, 2))
+        assert np.all(np.abs(g[:, 0] - terms.sum(axis=(1, 2))) <= bound), (g[:, 0], bound)
+
+
+MODELS_1D = [ModelSpec.gaussian(1), ModelSpec.uniform(1)]
+
+
+@pytest.mark.parametrize("model", MODELS_1D, ids=["gaussian", "uniform"])
+def test_moment_path_matches_per_pair_reference(model):
+    x, _, z = (a[..., 0] for a in _stack_inputs(3, 11, 7, 1, seed=34))
+    x[0, :2] = (1e6, -1e6)  # far out on both sides
+    x[1, 4] = 1e300  # kernel weight exactly 0
+    particles = 1e-6 * z
+    assert np.all(_collapsed(np.full((3, 1), 1e-6), z[..., None], _moment_c(model, 1.0),
+                             np.float64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g_m, g_s = _moment_grad_stack(x, particles, z, model, 1.0, np.empty(0))
+    assert np.all(np.isfinite(g_m)) and np.all(np.isfinite(g_s))
+    _assert_within_terms(g_m, g_s, x, particles, z, model, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("model", MODELS_1D, ids=["gaussian", "uniform"])
+def test_moment_and_direct_paths_agree_at_the_bound(model, dtype):
+    # tau = 2c s max|z| sqrt(745.2 / c) just below and just above MOMENT_TAU:
+    # the moment path (float64) and the direct kernels (in dtype) agree to
+    # the dtype's rounding on both sides, so the switch is invisible
+    x, _, z = (a[..., 0] for a in _stack_inputs(2, 40, 30, 1, seed=35))
+    x[:, :4] = (6.0, -6.0, 20.0, -20.0)
+    c = _moment_c(model, 1.0)
+    at_bound = MOMENT_TAU[np.dtype(dtype)] / (2.0 * math.sqrt(745.2 * c) * np.abs(z).max(axis=1))
+    for factor, collapsed in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        s = factor * at_bound[:, None]
+        assert np.all(_collapsed(s, z[..., None], c, dtype) == collapsed)
+        particles = s * z
+        moment = _moment_grad_stack(x, particles, z, model, 1.0, np.empty(0))
+        args = (x.astype(dtype), particles.astype(dtype), z.astype(dtype))
+        work = _workspace(model.kind, 2, 40, 30, dtype)
+        if model.kind == GAUSSIAN:
+            direct = _gauss_closed_grad_stack(*(a[..., None] for a in args), model.sigma2, 1.0, work)
+        else:
+            direct = _uniform_closed_grad_stack(*args, 1.0, model.half_width, work)
+        rel = 4 * np.finfo(dtype).eps
+        for g in (moment, direct):
+            _assert_within_terms(*g, x, particles, z, model, 1.0, rel)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("model", MODELS_1D, ids=["gaussian", "uniform"])
+def test_grads_mixing_collapsed_and_direct_datasets_match_solo_bitwise(model, dtype):
+    r, n, m_particles = 5, 40, 40
+    x = 0.5 + np.random.default_rng(36).standard_normal((r, n, 1))
+    m = np.full((r, 1), 0.4)
+    s = np.array([[1e-6], [0.7], [1e-6], [1e-6], [0.05]])
+    kernel, config = GaussianKernel(1.0), FitConfig.benchmark(n, 1)
+
+    def grads(rows, block):
+        z, g_m, g_s = np.empty((len(rows), m_particles, 1)), np.empty((len(rows), 1)), np.empty(
+            (len(rows), 1))
+        rngs = [np.random.default_rng((37, i)) for i in rows]
+        work = _workspace(model.kind, block, n, m_particles, dtype)
+        _grads(x[rows], m[rows], s[rows], model, kernel, config, rngs, work, z, g_m, g_s)
+        return z, g_m, g_s
+
+    z, g_m, g_s = grads(list(range(r)), 2)
+    taken = _collapsed(s, z, _moment_c(model, 1.0), dtype)
+    assert list(taken) == [True, False, True, True, False]
+    for i in range(r):
+        _, solo_m, solo_s = grads([i], 1)
+        np.testing.assert_array_equal(g_m[i], solo_m[0])
+        np.testing.assert_array_equal(g_s[i], solo_s[0])
+
+
+def test_moment_tau_is_the_truncation_root_rounded_down():
+    order = MOMENT_ORDER + 1
+    for dtype, tau in MOMENT_TAU.items():
+        u = np.finfo(dtype).eps / 2
+
+        def remainder(t):
+            return t**order / math.factorial(order) * math.exp(t)
+
+        assert remainder(tau) <= u < remainder(tau * (1 + 1e-4))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+def test_fit_batched_rejects_other_dtypes(dtype):
+    model = ModelSpec.uniform(1)
+    data = sample(model, np.array([0.0]), 20, np.random.default_rng(38))[None]
+    config = FitConfig.benchmark(20, 1, n_steps=20)
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        fit_batched(data, model, GaussianKernel(1.0), config, [np.random.default_rng(39)],
+                    dtype=dtype)
 
 
 def _outlier_fit(outlier):
