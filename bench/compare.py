@@ -10,7 +10,8 @@ its floor as in the acceptance sweeps; and a float32 uniform ``fit_batched``
 timing with ``s`` held at 20, whose particle clouds are too wide for the
 uniform kernel's folded far edge.  Writes one JSON file
 with each side's median and quartiles, the pair wins, the traced per-layer
-medians and every raw value::
+medians, every raw value and each side's ``src_lines`` (the line count of
+``src/mmdvi/*.py``, as ``wc -l`` gives it)::
 
     python3 bench/compare.py --parent ../mmdvi-parent --change . --out BENCH_3.json
 
@@ -82,6 +83,11 @@ print(sorted(times)[len(times) // 2])
 
 def _env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src")}
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of ``checkout``'s ``src/mmdvi/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src/mmdvi").glob("*.py"))
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -159,6 +165,7 @@ def main(argv=None) -> int:
 
     report = {"machine": {"platform": platform.platform()}, "pairs": PAIRS,
               "seconds": seconds, "first_seed": FIRST_SEED, "traced_runs": TRACED_RUNS,
+              "src_lines": {side: src_lines(path) for side, path in sides.items()},
               "end_to_end": {}, "traced": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs, env = alternating(sides, workload, seconds, 0, PAIRS)

@@ -14,6 +14,7 @@ locations and an (n, d) sample (1-D: n scalars) and returns a (T, n) array.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in (GAUSSIAN, UNIFORM):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _check_int("dim", self.dim, 1)
         if self.kind == GAUSSIAN and not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if self.kind == UNIFORM and not self.half_width > 0.0:
@@ -59,6 +59,13 @@ class ModelSpec:
     @classmethod
     def uniform(cls, dim: int = 1, half_width: float = 0.5) -> "ModelSpec":
         return cls(kind=UNIFORM, dim=dim, half_width=half_width)
+
+
+def _check_int(name: str, value, lo: int) -> None:
+    """Reject a ``value`` of the integer field ``name`` that is not an
+    integer of at least ``lo``; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def _check_theta(model: ModelSpec, theta: np.ndarray) -> np.ndarray:

@@ -13,21 +13,20 @@ The loop is :func:`fit_batched`: it fits a stack of datasets, optionally in
 float32, each from its componentwise median with ``s = 1``.  :func:`fit` runs
 it on one dataset in float64 with a recorder storing the path, then fills the
 trace objective once over the whole path.
-Each step centres the data at the current mean ``m`` in float64; the
-closed-form kernels see ``x - m`` and the offsets ``s * z`` and build each
-exponent ``-c |a - b|^2`` as one matmul ``[a, 1, |a|^2] @ [2c b; -c|b|^2; -c]``
-whose rounding, after centring, is small for the pairs with kernel weight.
 
 The one gradient estimator is reparameterised: it draws particles ``theta_k =
 m + s * z_k`` and differentiates the kernel expectation ``E_{X ~
 P_theta}[k(X_i, X)]`` exactly in ``theta`` at each (Gaussian model: the
 embedding closed form; uniform model: endpoint kernel differences).  It needs
-no synthetic sample and is unbiased.  It costs O(n M) per step, except at d = 1
-once a fit's particle cloud has collapsed (at the benchmark ``beta``, ``s``
-runs to its floor): then the kernel sums come from O(n + M) weighted moments
-of a Taylor expansion whose truncation is below the kernel dtype's rounding.
-:func:`objective_exact` integrates the particles out in closed form for both
-models; it is the reference the gradient is finite-difference checked against.
+no synthetic sample and is unbiased.  For both models it reduces one kernel
+matrix ``exp(-c |v_i - p_k|^2)``, between points centred at ``m`` and particle
+offsets ``s * z_k``, against model weights (:func:`_data_grads`), by one of
+two evaluators: directly in O(n M), or at d = 1, once a fit's particle cloud
+has collapsed (at the benchmark ``beta``, ``s`` runs to its floor), through a
+rank-(J+1) Taylor factorisation in O(n + M) whose truncation is below the
+kernel dtype's rounding.  :func:`objective_exact` integrates the particles out
+in closed form for both models; it is the reference the gradient is
+finite-difference checked against.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from .kernel import GaussianKernel, _as_points
 from .mmd import data_kernel_term, mmd2_model_vs_empirical
-from .models import (GAUSSIAN, UNIFORM, ModelSpec, uniform_pair_expectation,
+from .models import (GAUSSIAN, UNIFORM, ModelSpec, _check_int, uniform_pair_expectation,
                      uniform_point_expectation)
 
 DEFAULT_SEED = 12345
@@ -104,10 +103,9 @@ class FitConfig:
     def __post_init__(self) -> None:
         if math.isnan(self.beta_log):
             raise ValueError("beta_log must not be NaN")
-        if self.n_particles is not None and self.n_particles < 2:
-            raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_particles is not None:
+            _check_int("n_particles", self.n_particles, 2)
+        _check_int("n_steps", self.n_steps, 1)
         if not 0.0 <= self.step_scale < math.inf:
             raise ValueError(f"step_scale must be finite and >= 0, got {self.step_scale}")
         if not self.m_bounds[0] <= self.m_bounds[1]:
@@ -138,35 +136,26 @@ BLOCK_BYTES = 1 << 20
 # objective in :func:`fit`; bounds the uniform model's erfc object arrays.
 TRACE_BLOCK_PAIRS = 4096
 # Largest ``4a / gamma2 * max_k |p_k|`` (particle offsets ``p_k``) for which
-# the uniform kernel folds the far edge into its reduction: the factors
-# ``exp(+-30)`` lie far inside float32's range.  See
-# :func:`_uniform_closed_grad_stack`.
+# the uniform model folds the far edge into the reduction: the factors
+# ``exp(+-30)`` lie far inside float32's range.  See :func:`_data_grads`.
 FOLD_BOUND = 30.0
-# Taylor order J of the moment path: ``exp(2c v p)`` is summed to ``(2c v
-# p)^J / J!``.  See :func:`_moment_grad_stack`.
+# Taylor order J of the moment evaluator: ``exp(2c v p)`` is summed to ``(2c
+# v p)^J / J!``.  See :func:`_moment_sums`.
 MOMENT_ORDER = 4
-# Per kernel dtype, the largest ``tau >= |2c v p|`` at which the moment path's
-# truncation ``tau^(J+1) / (J+1)! e^tau`` stays below the unit roundoff: the
-# root of ``tau^5 / 120 e^tau = u`` (0.0918158 for u = 2^-24, 0.00167793 for
-# u = 2^-53), rounded down.
+# Per kernel dtype, the largest ``tau >= |2c v p|`` at which the moment
+# evaluator's truncation ``tau^(J+1) / (J+1)! e^tau`` stays below the unit
+# roundoff: the root of ``tau^5 / 120 e^tau = u`` (0.0918158 for u = 2^-24,
+# 0.00167793 for u = 2^-53), rounded down.
 MOMENT_TAU = {np.dtype(np.float32): 0.091815, np.dtype(np.float64): 0.0016779}
 # ``exp(-EXP_UNDERFLOW)`` is 0 in float64: a point with ``c v^2`` beyond it
 # has kernel weight exactly 0.
 EXP_UNDERFLOW = 745.2
 
 
-def _workspace(kind: str, r: int, n: int, m_particles: int, dtype) -> np.ndarray:
-    """Scratch for one stacked kernel call, n * M entries per dataset: (R, n,
-    M) for the Gaussian model, (R, M, n) for the uniform model."""
-    if kind == GAUSSIAN:
-        return np.empty((r, n, m_particles), dtype)
-    return np.empty((r, m_particles, n), dtype)
-
-
-def _block_size(kind: str, n: int, m_particles: int, dtype) -> int:
-    """Datasets per block of :func:`fit_batched`: as many as fit their
-    :func:`_workspace` into ``BLOCK_BYTES``, and at least one."""
-    return max(1, BLOCK_BYTES // _workspace(kind, 1, n, m_particles, dtype).nbytes)
+def _block_size(n: int, m_particles: int, dtype) -> int:
+    """Datasets per block of :func:`fit_batched`: as many as fit their (n, M)
+    kernel matrix into ``BLOCK_BYTES``, and at least one."""
+    return max(1, BLOCK_BYTES // (n * m_particles * np.dtype(dtype).itemsize))
 
 
 def _lift(a: np.ndarray) -> np.ndarray:
@@ -199,218 +188,159 @@ def _right(b: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def _gauss_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, sigma2: float,
-                             gamma2: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked closed-form data-term gradients for the Gaussian model.
-
-    ``x`` is (R, n, d); ``particles`` and ``z`` are (R, M, d).  Returns
-    float64 ``(g_m, g_s)`` of shape (R, d), the gradients of ``-(2/n) sum_i
-    int E[k(X_i, X)] dq`` on the particle set.  Only ``x - particles``
-    enters, so :func:`_grads` passes ``x - m`` and the offsets ``s * z``.
-
-    ``work`` is the (R, n, M) buffer from :func:`_workspace`, never read on
-    entry.  Three passes over it, at every ``d``: the exponent ``-|x_i -
-    theta_k|^2 / a2`` as one :func:`_lift` @ :func:`_right` matmul, ``exp``
-    in place, and one matmul ``e^T [x, 1]`` giving ``e^T x`` and the column
-    sums together.
+def _kernel_sums(points: np.ndarray, weights: np.ndarray | None, particles: np.ndarray, c: float,
+                 work: np.ndarray, particle_rows: bool) -> np.ndarray:
+    """``E^T W`` for the kernel matrix ``E_ik = exp(-c |v_i - p_k|^2)`` of
+    (R, n, d) ``points`` and (R, M, d) ``particles``, against (R, n, A) or (n,
+    A) point ``weights`` (``None``: ``[v, 1]``); returns (R, M, A).  ``E`` is
+    one :func:`_lift` @ :func:`_right` matmul and an in-place ``exp`` in
+    ``work`` (R (n, M) blocks or more, never read on entry), with points or
+    (``particle_rows``) particles as rows.  Float32 pays for subnormal
+    ``exp`` outputs per vector op that meets one, so they cost least filling
+    whole rows: far points do in point rows, a wide cloud's far particles in
+    particle rows.
     """
-    n, d = x.shape[1:]
-    m_particles = particles.shape[1]
-    a2 = 2.0 * sigma2 + gamma2
-    c2 = (gamma2 / a2) ** (d / 2.0)
-    left = _lift(x)
-    np.matmul(left, _right(particles, 1.0 / a2), out=work)
-    e = np.exp(work, out=work)  # (R, n, M), scaled by c2 at the end
-    v = np.matmul(e.transpose(0, 2, 1), left[..., : d + 1])  # (R, M, d+1): e^T x, column sums
-    per_particle = v[..., :d] - v[..., d:] * particles  # ~ grad wrt theta summed over i
-    scale = -c2 * (2.0 / a2) * 2.0 / (n * m_particles)
-    g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
-    g_s = scale * np.einsum("rmd,rmd->rd", per_particle, z, dtype=np.float64)
-    return g_m, g_s
+    e = work[: len(points)]
+    if particle_rows:
+        e = e.reshape(len(points), particles.shape[1], points.shape[1])
+        np.matmul(_lift(particles), _right(points, c), out=e)
+    else:
+        left = _lift(points)
+        weights = left[..., :-1] if weights is None else weights
+        e = np.matmul(left, _right(particles, c), out=e).transpose(0, 2, 1)
+    return np.matmul(np.exp(e, out=e), weights)
 
 
-def _edge_sums(particles: np.ndarray, v: np.ndarray, c: float, weights: np.ndarray,
-               work: np.ndarray) -> np.ndarray:
-    """``exp(-c (p_k - v_i)^2)`` for every particle ``p_k`` and point ``v_i``
-    of an (R, M) and an (R, n) stack, as one :func:`_lift` @ :func:`_right`
-    matmul and ``exp`` in place in the (R, M, n) ``work``, reduced against the
-    (R, n, j) or (n, j) ``weights``; returns (R, M, j)."""
-    np.matmul(_lift(particles[:, :, None]), _right(v[:, :, None], c), out=work)
-    return np.matmul(np.exp(work, out=work), weights)
-
-
-def _folded_edge_sums(x: np.ndarray, particles: np.ndarray, gamma2: float, half_width: float,
-                      work: np.ndarray) -> np.ndarray:
-    """The (R, M) ``sum_i K(p_k + a - u_i) - K(p_k - a - u_i)`` of
-    :func:`_uniform_closed_grad_stack` with one ``exp`` per pair, for
-    datasets whose ``4a / gamma2 * max_k |p_k|`` is at most ``FOLD_BOUND``.
-
-    With ``sigma_i = sign(u_i)`` and ``v_i = u_i - a sigma_i`` (``|v_i| <=
-    max(|u_i|, a)``), :func:`_edge_sums` gives ``b_ik``, the kernel at point
-    ``i``'s nearer edge.  The far edge is ``b_ik exp(+-k4 p_k) q_i`` with
-    ``k4 = 4a / gamma2`` and ``q_i = exp(-k4 |u_i|) <= 1``, so one reduction
-    against ``[sigma, q [sigma > 0], q [sigma < 0]]`` gives both; the factors
-    ``exp(+-k4 p_k)`` stay below ``exp(FOLD_BOUND)``.
+def _direct_sums(slabs, particles, factors, z, c, work):
+    """The kernel sums ``sum_k f_k [1, z_k]``, two (R, d) arrays, in the
+    inputs' dtype with float64 reductions over particles: the ``slabs``'
+    (points and weights) :func:`_kernel_sums` add up to ``V`` (R, M, A), and
+    ``f = V[..., :d] - sum_t V[..., d + t] factors[t]``.  Only the uniform
+    model's two edges have no factors; they come here for wide clouds only,
+    so they take particle rows.
     """
-    k4 = 4.0 * half_width / gamma2
-    sign = np.copysign(np.ones_like(x), x)
-    q = np.exp(-k4 * np.abs(x))
-    weights = np.empty(x.shape + (3,), x.dtype)
-    weights[..., 0] = sign
-    np.multiply(q, sign > 0, out=weights[..., 1])
-    np.subtract(q, weights[..., 1], out=weights[..., 2])
-    sums = _edge_sums(particles, x - half_width * sign, 1.0 / gamma2, weights, work)
-    kp = k4 * particles
-    return sums[..., 0] - np.exp(kp) * sums[..., 1] + np.exp(-kp) * sums[..., 2]
+    d = particles.shape[2]
+    v = _kernel_sums(*slabs[0], particles, c, work, not factors)
+    for points, weights in slabs[1:]:
+        v += _kernel_sums(points, weights, particles, c, work, not factors)
+    per_particle = v[..., :d]
+    for t, factor in enumerate(factors):
+        per_particle = per_particle - v[..., d + t : d + t + 1] * factor
+    return (per_particle.sum(axis=1, dtype=np.float64),
+            np.einsum("rmd,rmd->rd", per_particle, z, dtype=np.float64))
 
 
-def _uniform_closed_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, gamma2: float,
-                               half_width: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked closed-form data-term gradients for the 1-D uniform model.
+@functools.lru_cache(maxsize=8)
+def _taylor_coefficients(c: float) -> np.ndarray:
+    """The read-only (J+1, 1) column ``(2c)^j / j!``, ``j = 0 .. MOMENT_ORDER``."""
+    a = np.array([[(2.0 * c) ** j / math.factorial(j)] for j in range(MOMENT_ORDER + 1)])
+    a.setflags(write=False)
+    return a
 
-    ``x`` is (R, n); ``particles`` and ``z`` are (R, M), centred as in
-    :func:`_gauss_closed_grad_stack`: the points ``u_i`` and the offsets
-    ``p_k``.  Uses the endpoint kernel differences ``K(p_k + a - u_i) -
-    K(p_k - a - u_i)`` normalised by the uniform density
-    ``1/(2a)``.  Returns float64 (R, 1) gradients.  ``work`` is the (R, M, n)
-    buffer from :func:`_workspace`, never read on entry.
 
-    A dataset with ``4a / gamma2 * max_k |p_k|`` at most ``FOLD_BOUND`` takes
-    one ``exp`` per pair (:func:`_folded_edge_sums`); a wider one takes both
-    edges' ``exp``, each reduced against a ones column.  The choice is made
-    per dataset, so a dataset's result does not depend on the others in its
-    stack.
+def _moment_sums(slabs, particles, factors, z, c, work):
+    """The sums of :func:`_direct_sums` at d = 1 in float64, from the
+    truncated fast Gauss transform (Greengard and Strain, 1991): ``exp(-c (v
+    - p)^2) = sum_j [(2c)^j / j! p^j e^{-c p^2}] [v^j e^{-c v^2}]`` to ``j =
+    J = MOMENT_ORDER``, a rank-(J+1) factorisation of the kernel matrix.  The
+    point moments ``S_ja = sum_i W_ia v_i^j e^{-c v_i^2}`` and the particle
+    moments ``Q_jab = sum_k p_k^j e^{-c p_k^2} phi_ka [1, z_k]_b``, ``phi =
+    [1, -factors]``, are matmuls per dataset, then ``sum_ja (2c)^j / j! S_ja
+    Q_jab``: O((n + M) J) work.  The truncation is below the kernel dtype's
+    rounding where :func:`_collapsed` selects it.  Points beyond
+    ``sqrt(EXP_UNDERFLOW / c)``, of weight exactly 0, are clipped to it
+    before any power is taken; ``None`` weights are ``[v, 1]`` of the clipped
+    points.  The (J + 2) (points + M) float64 entries per dataset go into
+    ``work``'s memory when it holds them; it is never read on entry.
     """
-    n = x.shape[1]
-    m_particles = particles.shape[1]
-    is_wide = 4.0 * half_width / gamma2 * np.abs(particles).max(axis=1) > FOLD_BOUND
-    fold, wide = np.flatnonzero(~is_wide), np.flatnonzero(is_wide)
-    per_particle = np.empty_like(particles)
-    if fold.size:
-        b = _rows(fold)
-        per_particle[b] = _folded_edge_sums(x[b], particles[b], gamma2, half_width,
-                                            work[: fold.size])
-    if wide.size:
-        b, ones = _rows(wide), np.ones((n, 1), x.dtype)
-        upper = _edge_sums(particles[b], x[b] - half_width, 1.0 / gamma2, ones, work[: wide.size])
-        lower = _edge_sums(particles[b], x[b] + half_width, 1.0 / gamma2, ones, work[: wide.size])
-        per_particle[b] = upper[..., 0] - lower[..., 0]
-    scale = -2.0 / (n * m_particles * 2.0 * half_width)
-    g_m = scale * per_particle.sum(axis=1, dtype=np.float64)
-    g_s = scale * np.einsum("rm,rm->r", per_particle, z, dtype=np.float64)
-    return g_m[:, None], g_s[:, None]
+    r, m_particles = particles.shape[:2]
+    points = sum(v.shape[1] for v, _ in slabs)
+    shape = (MOMENT_ORDER + 2, r, points + m_particles)
+    fits = work.nbytes >= math.prod(shape) * 8
+    buf = np.ndarray(shape, buffer=work) if fits else np.empty(shape)
+    base, powers = buf[0], buf[1:]
+    np.concatenate([v[..., 0] for v, _ in slabs] + [particles[..., 0]], axis=1, out=base)
+    reach = math.sqrt(EXP_UNDERFLOW / c)
+    base[:, :points].clip(-reach, reach, out=base[:, :points])
+    np.square(base, out=powers[0])
+    powers[0] *= -c
+    np.exp(powers[0], out=powers[0])
+    for j in range(1, len(powers)):
+        np.multiply(powers[j - 1], base, out=powers[j])
+    weights = slabs[0][1]
+    if weights is None:
+        weights = np.ones((r, 2, points))
+        weights[:, 0] = base[:, :points]
+        weights = weights.transpose(0, 2, 1)
+    elif len(slabs) > 1:
+        weights = np.concatenate([w for _, w in slabs], axis=-2)
+    moments = np.matmul(powers[..., :points].transpose(1, 0, 2), weights)
+    moments *= _taylor_coefficients(c)
+    cols = np.empty((len(factors) + 1, 2, r, m_particles))  # phi_ka [1, z_k]_b
+    cols[0, 0], cols[0, 1] = 1.0, z[..., 0]
+    for t, factor in enumerate(factors):
+        np.negative(factor[..., 0], out=cols[t + 1, 0])
+        np.multiply(cols[t + 1, 0], z[..., 0], out=cols[t + 1, 1])
+    clouds = np.matmul(powers[..., points:].transpose(1, 0, 2),
+                       cols.reshape(-1, r, m_particles).transpose(1, 2, 0))
+    g = np.matmul(moments.reshape(r, 1, -1), clouds.reshape(r, -1, 2))[:, 0]
+    return g[:, :1], g[:, 1:]
 
 
-def _moment_c(model: ModelSpec, gamma2: float) -> float:
-    """The ``c`` of the d = 1 kernel ``exp(-c (v - p)^2)`` that the data term's
-    gradient sums over (point, particle) pairs."""
+def _kernel_c(model: ModelSpec, gamma2: float) -> float:
+    """The ``c`` of the kernel ``exp(-c |v - p|^2)`` that both models'
+    data-term gradients sum over (point, particle) pairs."""
     if model.kind == GAUSSIAN:
         return 1.0 / (2.0 * model.sigma2 + gamma2)
     return 1.0 / gamma2
 
 
 def _collapsed(s: np.ndarray, z: np.ndarray, c: float, dtype) -> np.ndarray:
-    """Which datasets of a d = 1 stack take :func:`_moment_grad_stack`.
-
-    A dataset's points farther than ``sqrt(EXP_UNDERFLOW / c)`` from ``m``
-    have kernel weight 0, so ``tau = 2c s max_k |z_k| sqrt(EXP_UNDERFLOW /
-    c)`` bounds ``|2c v p|`` over every pair with weight.  The moment path is
-    taken when ``tau <= MOMENT_TAU`` of the kernel dtype.  The rule reads only
-    the dataset's own ``s`` (R, 1) and draws ``z`` (R, M, 1), not its data.
+    """Which datasets of a d = 1 stack take :func:`_moment_sums`: those with
+    ``tau = 2c s max_k |z_k| sqrt(EXP_UNDERFLOW / c) <= MOMENT_TAU`` of the
+    kernel dtype.  Points farther than ``sqrt(EXP_UNDERFLOW / c)`` from ``m``
+    have kernel weight 0, so ``tau`` bounds ``|2c v p|`` over every pair with
+    weight.  The rule reads only ``s`` (R, 1) and the draws (R, M, 1).
     """
     reach = 2.0 * math.sqrt(EXP_UNDERFLOW * c)
     return s[:, 0] * np.abs(z[:, :, 0]).max(axis=1) <= MOMENT_TAU[np.dtype(dtype)] / reach
 
 
-def _moment_shape(kind: str, r: int, n: int, m_particles: int) -> tuple[int, int, int]:
-    """The float64 scratch of :func:`_moment_grad_stack`: a row of points and
-    offsets, then one row per power, each holding ``edges * n + M`` entries
-    for each of ``r`` datasets (one edge for the Gaussian model, two for the
-    uniform one)."""
-    if kind == GAUSSIAN:
-        return MOMENT_ORDER + 3, r, n + m_particles
-    return MOMENT_ORDER + 2, r, 2 * n + m_particles
-
-
-@functools.lru_cache(maxsize=8)
-def _taylor_form(kind: str, c: float) -> np.ndarray:
-    """The (rows, rows) bilinear form ``C`` of :func:`_moment_grad_stack`,
-    ``sum_k per_particle_k = S^T C Q``, from ``a_j = (2c)^j / j!``."""
-    a = np.array([(2.0 * c) ** j / math.factorial(j) for j in range(MOMENT_ORDER + 1)])
-    j = np.arange(MOMENT_ORDER + 1)
-    if kind == GAUSSIAN:  # sum_j a_j (S_{j+1} Q_j - S_j Q_{j+1})
-        form = np.zeros((MOMENT_ORDER + 2,) * 2)
-        form[j + 1, j] = a
-        form[j, j + 1] = -a
-    else:  # sum_j a_j T_j Q_j
-        form = np.diag(a)
-    form.setflags(write=False)
-    return form
-
-
-def _moment_grad_stack(x: np.ndarray, particles: np.ndarray, z: np.ndarray, model: ModelSpec,
-                       gamma2: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The data-term gradients of :func:`_gauss_closed_grad_stack` (d = 1) or
-    :func:`_uniform_closed_grad_stack` for collapsed particle clouds, from
-    weighted moments.
-
-    ``x`` is the (R, n) stack of centred points ``u_i``, ``particles`` and
-    ``z`` the (R, M) offsets ``p_k`` and draws, all float64; returns float64
-    (R, 1) ``(g_m, g_s)``.  Both kernels sum ``exp(-c (v_i - p_k)^2) =
-    e^{-c v_i^2} e^{-c p_k^2} exp(2c v_i p_k)`` over pairs, with ``v_i =
-    u_i`` (Gaussian, ``c = 1 / (2 sigma2 + gamma2)``) or the two edges ``v_i
-    = u_i -+ a`` (uniform, ``c = 1 / gamma2``).  ``exp(2c v p)`` is replaced
-    by its Taylor sum to order ``J = MOMENT_ORDER``, so with the point moments
-    ``S_j = sum_i e^{-c v_i^2} v_i^j`` (uniform: ``T_j = S+_j - S-_j``) and
-    the particle moments ``Q_j = sum_k e^{-c p_k^2} p_k^j`` (and ``Q^z_j``,
-    weighted by ``z_k``), ``sum_k per_particle_k`` is ``sum_j (2c)^j / j!
-    (S_{j+1} Q_j - S_j Q_{j+1})`` (Gaussian) or ``sum_j (2c)^j / j! T_j Q_j``
-    (uniform).  That is O((n + M) J) work and one ``exp`` per point, edge and
-    particle.  The truncation is below the kernel dtype's rounding where
-    :func:`_collapsed` selects the path.
-
-    Points beyond ``sqrt(EXP_UNDERFLOW / c)`` are clipped to it, where their
-    weight is exactly 0, before any power is taken.  The powers go into
-    ``work``'s memory when it holds :func:`_moment_shape`, else into a fresh
-    buffer; ``work`` is never read on entry.  Every reduction is per dataset.
+def _data_grads(model: ModelSpec, gamma2: float, u: np.ndarray, p: np.ndarray, z: np.ndarray,
+                evaluate, work: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The data-term gradients ``(g_m, g_s)``, (R, d) float64, of ``-(2/n)
+    sum_i int E[k(X_i, X)] dq`` on the particles, for (R, n, d) points ``u``
+    centred at ``m``, (R, M, d) offsets ``p = s * z`` and draws ``z``, by
+    ``evaluate`` (:func:`_direct_sums` or :func:`_moment_sums`).  Both models
+    sum ``e_ik = exp(-c |v_i - p_k|^2)`` (:func:`_kernel_c`).  Gaussian: ``v
+    = u``, weights ``[u, 1]``, factor ``p``: ``f_k = sum_i e_ik (u_i - p_k)``.
+    Uniform (d = 1): the endpoint differences ``K(p_k + a - u_i) - K(p_k - a
+    - u_i)`` times the density ``1/(2a)``, both edges ``v = u -+ a`` with
+    weights ``+-1``; or, with ``fold`` (for ``4a / gamma2 * max_k |p_k| <=
+    FOLD_BOUND``), the nearer edge ``v = u - a sign(u)`` alone: the far one
+    is ``e_ik exp(+-k4 p_k) q_i``, ``k4 = 4a / gamma2``, ``q_i = exp(-k4
+    |u_i|) <= 1``, so weights ``[sign, q [sign > 0], -q [sign < 0]]`` and
+    factors ``exp(+-k4 p)`` give both edges from one ``exp`` per pair.
     """
-    r, n = x.shape
-    m_particles = particles.shape[1]
-    c = _moment_c(model, gamma2)
-    shape = _moment_shape(model.kind, r, n, m_particles)
-    need = math.prod(shape) * 8
-    if work.nbytes >= need:
-        buf = work.reshape(-1).view(np.uint8)[:need].view(np.float64).reshape(shape)
-    else:
-        buf = np.empty(shape)
-    base, powers = buf[0], buf[1:]
-    points = shape[2] - m_particles
+    (n, d), m_particles = u.shape[1:], p.shape[1]
     if model.kind == GAUSSIAN:
-        base[:, :n] = x
+        a2 = 2.0 * model.sigma2 + gamma2
+        scale = -((gamma2 / a2) ** (d / 2.0)) * (2.0 / a2) * 2.0 / (n * m_particles)
+        slabs, factors = [(u, None)], [p]
     else:
-        np.subtract(x, model.half_width, out=base[:, :n])
-        np.add(x, model.half_width, out=base[:, n:points])
-    reach = math.sqrt(EXP_UNDERFLOW / c)
-    np.clip(base[:, :points], -reach, reach, out=base[:, :points])
-    base[:, points:] = particles
-    np.square(base, out=powers[0])
-    powers[0] *= -c
-    np.exp(powers[0], out=powers[0])
-    for j in range(1, len(powers)):
-        np.multiply(powers[j - 1], base, out=powers[j])
-    edges = powers[..., :points].reshape(len(powers), r, points // n, n).sum(axis=-1)
-    moments = edges[..., 0] if model.kind == GAUSSIAN else edges[..., 0] - edges[..., 1]
-    clouds = powers[..., points:]
-    weighted = np.concatenate(  # (R, rows, 2): Q_j and Q^z_j
-        (clouds.sum(axis=-1).T[..., None], np.matmul(clouds.transpose(1, 0, 2), z[:, :, None])),
-        axis=-1)
-    g = np.matmul(np.matmul(moments.T[:, None, :], _taylor_form(model.kind, c)), weighted)[:, 0]
-    if model.kind == GAUSSIAN:
-        a2 = 1.0 / c
-        scale = -math.sqrt(gamma2 / a2) * (2.0 / a2) * 2.0 / (n * m_particles)
-    else:
-        scale = -2.0 / (n * m_particles * 2.0 * model.half_width)
-    return scale * g[:, :1], scale * g[:, 1:]
+        a = model.half_width
+        scale = -2.0 / (n * m_particles * 2.0 * a)
+        if fold:
+            k4 = 4.0 * a / gamma2
+            sign = np.copysign(np.ones_like(u), u)
+            q = np.exp(-k4 * np.abs(u))
+            weights = np.concatenate((sign, q * (sign > 0), -q * (sign < 0)), axis=2)
+            slabs, factors = [(u - a * sign, weights)], [np.exp(k4 * p), np.exp(-k4 * p)]
+        else:
+            ones = np.ones((n, 1), u.dtype)
+            slabs, factors = [(u - a, ones), (u + a, -ones)], []
+    g_m, g_s = evaluate(slabs, p, factors, z, _kernel_c(model, gamma2), work)
+    return scale * g_m, scale * g_s
 
 
 def _n_particles(model: ModelSpec, config: FitConfig, n: int) -> int:
@@ -463,51 +393,43 @@ def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
     ``g_m`` and ``g_s``.  Each dataset draws its particles' normals from its
     own generator into its row of the float64 (R, M, d) ``z``.
 
-    At d = 1, the datasets whose particle cloud has collapsed (see
-    :func:`_collapsed`) take :func:`_moment_grad_stack`, in float64, as many
-    at a time as its powers fit into ``work``'s memory.  The rest take the
-    closed-form kernels, in the dtype of ``work`` (from :func:`_workspace`), a
-    block of as many datasets as it holds at a time.  No reduction crosses
-    datasets, and the choice reads only a dataset's own ``s`` and draws, so
-    neither blocking nor the rest of the stack changes a result.  Each block
-    is centred in float64 before the cast: the kernels see ``x - m``, clipped
-    to ``+-sqrt(finfo(dtype).max / (4 d))``, and the offsets ``s * z``, so
-    the lifted exponent (see :func:`_right`) loses no location digits, and a
-    clipped row gets a kernel weight of exactly 0, its exponent no NaN.  The
-    regulariser gradients ``m / beta`` and ``(s - 1/s) / beta`` are added
-    last.
+    At d = 1, datasets whose particle cloud has collapsed (:func:`_collapsed`)
+    take :func:`_moment_sums` in float64, as many at a time as its powers of
+    both uniform edges fit into ``work``'s memory; the rest take
+    :func:`_direct_sums` in the dtype of the (B, n, M) ``work``, B at a time,
+    uniform ones within ``FOLD_BOUND`` folded.  No reduction crosses datasets
+    and each choice reads only the dataset's own ``s`` and draws, so neither
+    blocking nor the rest of the stack changes a result.  The evaluators see
+    ``x - m``, centred in float64 before the cast so the lifted exponent
+    (:func:`_right`) loses no location digits, and on the direct path clipped
+    to ``+-sqrt(finfo(dtype).max / (4 d))``, where a row gets kernel weight
+    exactly 0 and no NaN.  Regulariser gradients are added last.
     """
     r, n, d = x.shape
     for rng, z_row in zip(rngs, z):
         rng.standard_normal(out=z_row)
-    direct = np.arange(r)
-    if d == 1:
-        collapsed = _collapsed(s, z, _moment_c(model, kernel.gamma2), work.dtype)
-        if collapsed.any():
-            taylor, direct = direct[collapsed], direct[~collapsed]
-            per = math.prod(_moment_shape(model.kind, 1, n, z.shape[1])) * 8
-            chunk = max(1, work.nbytes // per)
-            for lo in range(0, taylor.size, chunk):
-                b = _rows(taylor[lo:lo + chunk])
-                zb = z[b, :, 0]
-                g_m[b], g_s[b] = _moment_grad_stack(x[b, :, 0] - m[b], s[b] * zb, zb, model,
-                                                    kernel.gamma2, work)
+    c = _kernel_c(model, kernel.gamma2)
+    taylor = _collapsed(s, z, c, work.dtype) if d == 1 else np.zeros(r, bool)
+    wide, fold = ~taylor, np.zeros(r, bool)
+    if model.kind == UNIFORM and wide.any():
+        spread = s[:, 0] * np.abs(z[:, :, 0]).max(axis=1)
+        fold = wide & (4.0 * model.half_width / kernel.gamma2 * spread <= FOLD_BOUND)
+        wide ^= fold
+    chunk = max(1, work.nbytes // ((MOMENT_ORDER + 2) * (2 * n + z.shape[1]) * 8))
     big = math.sqrt(float(np.finfo(work.dtype).max) / (4 * d))
-    for lo in range(0, direct.size, len(work)):
-        rows = direct[lo:lo + len(work)]
-        b, k = _rows(rows), rows.size
-        xc = np.clip(x[b] - m[b, None, :], -big, big).astype(work.dtype, copy=False)
-        offsets = (s[b, None, :] * z[b]).astype(work.dtype, copy=False)
-        zb = z[b].astype(work.dtype, copy=False)
-        if model.kind == GAUSSIAN:
-            g_m[b], g_s[b] = _gauss_closed_grad_stack(
-                xc, offsets, zb, model.sigma2, kernel.gamma2, work[:k]
-            )
-        else:
-            g_m[b], g_s[b] = _uniform_closed_grad_stack(
-                xc[..., 0], offsets[..., 0], zb[..., 0], kernel.gamma2,
-                model.half_width, work[:k],
-            )
+    for rows, evaluate, size, dtype, folded in (
+            (taylor.nonzero()[0], _moment_sums, chunk, np.float64, False),
+            (fold.nonzero()[0], _direct_sums, len(work), work.dtype, True),
+            (wide.nonzero()[0], _direct_sums, len(work), work.dtype, False)):
+        for lo in range(0, rows.size, size):
+            b = _rows(rows[lo:lo + size])
+            u = x[b] - m[b, None, :]
+            if evaluate is _direct_sums:
+                u.clip(-big, big, out=u)
+            u = u.astype(dtype, copy=False)
+            p = (s[b, None, :] * z[b]).astype(dtype, copy=False)
+            g_m[b], g_s[b] = _data_grads(model, kernel.gamma2, u, p,
+                                         z[b].astype(dtype, copy=False), evaluate, work, folded)
     inv_beta = config.inv_beta
     if inv_beta != 0.0:
         g_m += inv_beta * m
@@ -534,7 +456,7 @@ def grad_estimate(
     x = _check_q_data(q, data, model)[None]
     _, n, d = x.shape
     m_particles = _n_particles(model, config, n)
-    work = _workspace(model.kind, 1, n, m_particles, np.float64)
+    work = np.empty((1, n, m_particles))
     z, g_m, g_s = np.empty((1, m_particles, d)), np.empty((1, d)), np.empty((1, d))
     _grads(x, q.m[None], q.s[None], model, kernel, config, [rng], work, z, g_m, g_s)
     return GradEstimate(g_m[0], g_s[0])
@@ -638,15 +560,13 @@ def fit_batched(
     The data stay in float64; each step centres them at ``m`` before the
     cast, so a float32 fit moves with a shift of the data to ~1e-10 even at
     shifts of 1e5, and far outliers are clipped (see :func:`_grads`).  Each
-    step walks the stack in blocks of as many datasets as fit their
-    :func:`_workspace` into ``BLOCK_BYTES`` (1 MiB), so the one block-sized
-    workspace and the (R, M, d) draw buffer, allocated once per call and
-    overwritten every step, stay in a core's L2 cache.  No reduction crosses
-    datasets, so blocking changes no result.  At d = 1, a dataset whose ``s``
-    has collapsed (at the benchmark ``beta``, ``s`` runs to its floor) takes
-    its step's gradient from O(n + M) weighted moments in float64 instead
-    (:func:`_moment_grad_stack`), with a truncation below the rounding of
-    ``dtype``.
+    step walks the stack in blocks of as many datasets as fit their (n, M)
+    kernel matrices into ``BLOCK_BYTES`` (1 MiB), so the one workspace and
+    the (R, M, d) draw buffer, allocated once per call, stay in a core's L2
+    cache.  No reduction crosses datasets, so blocking changes no result.  At
+    d = 1, a dataset whose ``s`` has collapsed takes its step's gradient from
+    the O(n + M) :func:`_moment_sums` in float64 instead, with a truncation
+    below the rounding of ``dtype``.
 
     ``record(t, m, s, g_m, g_s)``, if given, sees the (R, d) state after
     ``t`` updates and the gradient applied at step ``t`` (``None`` at t=0);
@@ -668,8 +588,7 @@ def fit_batched(
     clamps = (m != start).any(axis=1).astype(int)
     s = np.clip(np.ones((r, d)), *config.s_bounds)
 
-    block = _block_size(model.kind, n, m_particles, dtype)
-    work = _workspace(model.kind, min(block, r), n, m_particles, dtype)
+    work = np.empty((min(_block_size(n, m_particles, dtype), r), n, m_particles), dtype)
     z, g_m, g_s = np.empty((r, m_particles, d)), np.empty((r, d)), np.empty((r, d))
     if record is not None:
         record(0, m, s, None, None)

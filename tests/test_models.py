@@ -14,7 +14,7 @@ from mmdvi.models import (
     uniform_pair_expectation,
     uniform_point_expectation,
 )
-from mmdvi.vi import (FitConfig, MeanFieldGaussian, _uniform_closed_grad_stack, _workspace,
+from mmdvi.vi import (FitConfig, MeanFieldGaussian, _data_grads, _direct_sums,
                       grad_estimate)
 
 # E_{X,Y ~ U[theta-1/2, theta+1/2]} k(X, Y) for gamma2 = 4, from 200-node
@@ -173,12 +173,12 @@ def test_uniform_expectation_grad_matches_finite_differences():
             points = uniform_point_expectation(kernel, model, np.array([t]), x[:, None])
             return -2.0 * float(np.mean(points))
 
-        work = _workspace(UNIFORM, 1, 3, 1, np.float64)
-        g_m, g_s = _uniform_closed_grad_stack(x[None], np.array([[theta]]), np.array([[z]]),
-                                              kernel.gamma2, a, work)
         fd = (data_term(theta + h) - data_term(theta - h)) / (2 * h)
-        assert float(g_m[0, 0]) == pytest.approx(fd, rel=1e-6), a
-        assert float(g_s[0, 0]) == pytest.approx(z * float(g_m[0, 0]), rel=1e-14), a
+        for fold in (True, False):  # the nearer edge folded, and both edges
+            g_m, g_s = _data_grads(model, kernel.gamma2, x[None, :, None], np.array([[[theta]]]),
+                                   np.array([[[z]]]), _direct_sums, np.empty((1, 3, 1)), fold)
+            assert float(g_m[0, 0]) == pytest.approx(fd, rel=1e-6), (a, fold)
+            assert float(g_s[0, 0]) == pytest.approx(z * float(g_m[0, 0]), rel=1e-14), (a, fold)
 
 
 def test_uniform_expectation_grad_requires_1d_uniform():

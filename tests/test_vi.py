@@ -19,14 +19,13 @@ from mmdvi.vi import (
     MeanFieldGaussian,
     _block_size,
     _collapsed,
-    _gauss_closed_grad_stack,
+    _data_grads,
+    _direct_sums,
     _grads,
+    _kernel_c,
     _lift,
-    _moment_c,
-    _moment_grad_stack,
+    _moment_sums,
     _right,
-    _uniform_closed_grad_stack,
-    _workspace,
     fit,
     fit_batched,
     grad_estimate,
@@ -73,6 +72,26 @@ def test_fit_config_validation():
         FitConfig(s_bounds=(0.0, 1.0))
     with pytest.raises(ValueError):
         FitConfig(m_bounds=(1.0, -1.0))
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: FitConfig(n_steps=2.5), "n_steps"),
+        (lambda: FitConfig(n_steps=True), "n_steps"),
+        (lambda: FitConfig(n_steps=np.float64(3.0)), "n_steps"),
+        (lambda: FitConfig(n_particles=3.5), "n_particles"),
+        (lambda: FitConfig(n_particles=False), "n_particles"),
+        (lambda: ModelSpec.gaussian(1.5), "dim"),
+        (lambda: ModelSpec.uniform(True), "dim"),
+    ],
+    ids=["steps-float", "steps-bool", "steps-numpy-float", "particles-float", "particles-bool",
+         "gaussian-dim-float", "uniform-dim-bool"],
+)
+def test_integer_fields_reject_non_integers(make, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d, got "):
+        make()
+    FitConfig(n_steps=np.int64(3), n_particles=np.int32(4))  # numpy integers are integers
 
 
 def test_fit_config_benchmark_defaults():
@@ -367,7 +386,7 @@ def test_fit_batched_stack_matches_individual_runs():
 )
 def test_fit_batched_blocks_match_single_runs(model, dtype):
     r, n = 13, 200
-    block = _block_size(model.kind, n, n, dtype)
+    block = _block_size(n, n, dtype)
     assert -(-r // block) >= 3  # at least three blocks, the last one partial if block > 1
     rng = np.random.default_rng(60)
     data = np.stack([sample(model, np.array([1.0]), n, rng) for _ in range(r)])
@@ -555,8 +574,8 @@ def _stack_inputs(r, n, m_particles, d, seed):
 @pytest.mark.parametrize("d", [1, 15])
 def test_gauss_stack_matches_per_pair_reference(d):
     x, particles, z = _stack_inputs(3, 11, 7, d, seed=31 + d)
-    work = _workspace(GAUSSIAN, 3, 11, 7, np.float64)
-    g_m, g_s = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d), work)
+    g_m, g_s = _data_grads(ModelSpec.gaussian(d), float(d), x, particles, z, _direct_sums,
+                           np.empty((3, 11, 7)))
     ref_m, ref_s = _gauss_grad_reference(x, particles, z, 1.0, float(d))
     np.testing.assert_allclose(g_m, ref_m, rtol=1e-12, atol=0)
     np.testing.assert_allclose(g_s, ref_s, rtol=1e-12, atol=0)
@@ -574,8 +593,8 @@ def test_uniform_stack_matches_per_pair_reference(spread, folded, dtype):
     x[:, :2] = (1e6, -1e6)  # points far out on both sides
     x, particles, z = (a.astype(dtype) for a in (x, spread * z, z))
     assert np.all(_folds(particles, 1.0, 1.0) == folded)
-    work = _workspace(UNIFORM, 3, 11, 7, dtype)
-    g_m, g_s = _uniform_closed_grad_stack(x, particles, z, 1.0, 1.0, work)
+    g_m, g_s = _data_grads(ModelSpec.uniform(1, 1.0), 1.0, x[..., None], particles[..., None],
+                           z[..., None], _direct_sums, np.empty((3, 11, 7), dtype), folded)
     assert np.all(np.isfinite(g_m)) and np.all(np.isfinite(g_s))
     ref_m, ref_s = _uniform_grad_reference(*(a.astype(np.float64) for a in (x, particles, z)),
                                            1.0, 1.0)
@@ -586,45 +605,52 @@ def test_uniform_stack_matches_per_pair_reference(spread, folded, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 def test_uniform_stack_mixing_wide_and_folded_matches_solo_bitwise(dtype):
-    x, _, z = (a[..., 0].astype(dtype) for a in _stack_inputs(3, 9, 6, 1, seed=46))
-    particles = z * np.array([[0.5], [12.0], [0.3]], dtype)
-    assert list(_folds(particles, 1.0, 1.0)) == [True, False, True]
-    stacked = _uniform_closed_grad_stack(x, particles, z, 1.0, 1.0,
-                                         _workspace(UNIFORM, 3, 9, 6, dtype))
+    x = _stack_inputs(3, 9, 6, 1, seed=46)[0]
+    m, s = np.full((3, 1), 0.2), np.array([[0.5], [12.0], [0.3]])
+    model, kernel, config = ModelSpec.uniform(1, 1.0), GaussianKernel(1.0), FitConfig.benchmark(9, 1)
+
+    def grads(rows):
+        z, g_m, g_s = np.empty((len(rows), 6, 1)), np.empty((len(rows), 1)), np.empty(
+            (len(rows), 1))
+        rngs = [np.random.default_rng((47, i)) for i in rows]
+        work = np.empty((len(rows), 9, 6), dtype)
+        _grads(x[rows], m[rows], s[rows], model, kernel, config, rngs, work, z, g_m, g_s)
+        return z, g_m, g_s
+
+    z, g_m, g_s = grads([0, 1, 2])
+    assert list(_folds(s * z[..., 0], 1.0, 1.0)) == [True, False, True]
     for r in range(3):
-        b = slice(r, r + 1)
-        solo = _uniform_closed_grad_stack(x[b], particles[b], z[b], 1.0, 1.0,
-                                          _workspace(UNIFORM, 1, 9, 6, dtype))
-        np.testing.assert_array_equal(stacked[0][b], solo[0])
-        np.testing.assert_array_equal(stacked[1][b], solo[1])
+        _, solo_m, solo_s = grads([r])
+        np.testing.assert_array_equal(g_m[r], solo_m[0])
+        np.testing.assert_array_equal(g_s[r], solo_s[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("d", [1, 15])
 def test_gauss_stack_reused_workspace_is_bitwise_fresh(d, dtype):
     x, particles, z = (a.astype(dtype) for a in _stack_inputs(2, 9, 6, d, seed=40 + d))
-    work = np.full((2, 9, 6), np.nan, dtype)
+    model, work = ModelSpec.gaussian(d), np.full((2, 9, 6), np.nan, dtype)
     # a first call with other particles leaves the buffer dirty
-    _gauss_closed_grad_stack(x, particles + 3.0, z, 1.0, float(d), work)
-    reused = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d), work)
-    fresh_work = _workspace(GAUSSIAN, 2, 9, 6, dtype)
-    fresh = _gauss_closed_grad_stack(x, particles, z, 1.0, float(d), fresh_work)
+    _data_grads(model, float(d), x, particles + 3.0, z, _direct_sums, work)
+    reused = _data_grads(model, float(d), x, particles, z, _direct_sums, work)
+    fresh = _data_grads(model, float(d), x, particles, z, _direct_sums, np.empty((2, 9, 6), dtype))
     np.testing.assert_array_equal(reused[0], fresh[0])
     np.testing.assert_array_equal(reused[1], fresh[1])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_uniform_stack_reused_workspace_is_bitwise_fresh(dtype):
-    x, particles, z = (a[..., 0].astype(dtype) for a in _stack_inputs(2, 9, 6, 1, seed=42))
-    work = _workspace(UNIFORM, 2, 9, 6, dtype)
-    work.fill(np.nan)
-    work.reshape(-1)[work.size // 2 :] = np.inf
-    _uniform_closed_grad_stack(x, particles - 2.0, z, 1.0, 0.5, work)
-    reused = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, work)
-    fresh_work = _workspace(UNIFORM, 2, 9, 6, dtype)
-    fresh = _uniform_closed_grad_stack(x, particles, z, 1.0, 0.5, fresh_work)
-    np.testing.assert_array_equal(reused[0], fresh[0])
-    np.testing.assert_array_equal(reused[1], fresh[1])
+    x, particles, z = (a.astype(dtype) for a in _stack_inputs(2, 9, 6, 1, seed=42))
+    model = ModelSpec.uniform(1, 0.5)
+    for fold in (True, False):
+        work = np.full((2, 9, 6), np.nan, dtype)
+        work.reshape(-1)[work.size // 2 :] = np.inf
+        _data_grads(model, 1.0, x, particles - 2.0, z, _direct_sums, work, fold)
+        reused = _data_grads(model, 1.0, x, particles, z, _direct_sums, work, fold)
+        fresh = _data_grads(model, 1.0, x, particles, z, _direct_sums,
+                            np.empty((2, 9, 6), dtype), fold)
+        np.testing.assert_array_equal(reused[0], fresh[0])
+        np.testing.assert_array_equal(reused[1], fresh[1])
 
 
 def _pair_terms(x, particles, z, model, gamma2):
@@ -666,11 +692,12 @@ def test_moment_path_matches_per_pair_reference(model):
     x[0, :2] = (1e6, -1e6)  # far out on both sides
     x[1, 4] = 1e300  # kernel weight exactly 0
     particles = 1e-6 * z
-    assert np.all(_collapsed(np.full((3, 1), 1e-6), z[..., None], _moment_c(model, 1.0),
+    assert np.all(_collapsed(np.full((3, 1), 1e-6), z[..., None], _kernel_c(model, 1.0),
                              np.float64))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g_m, g_s = _moment_grad_stack(x, particles, z, model, 1.0, np.empty(0))
+        g_m, g_s = _data_grads(model, 1.0, x[..., None], particles[..., None], z[..., None],
+                               _moment_sums, np.empty(0))
     assert np.all(np.isfinite(g_m)) and np.all(np.isfinite(g_s))
     _assert_within_terms(g_m, g_s, x, particles, z, model, 1.0, 1e-12)
 
@@ -683,19 +710,17 @@ def test_moment_and_direct_paths_agree_at_the_bound(model, dtype):
     # the dtype's rounding on both sides, so the switch is invisible
     x, _, z = (a[..., 0] for a in _stack_inputs(2, 40, 30, 1, seed=35))
     x[:, :4] = (6.0, -6.0, 20.0, -20.0)
-    c = _moment_c(model, 1.0)
+    c = _kernel_c(model, 1.0)
     at_bound = MOMENT_TAU[np.dtype(dtype)] / (2.0 * math.sqrt(745.2 * c) * np.abs(z).max(axis=1))
     for factor, collapsed in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
         s = factor * at_bound[:, None]
         assert np.all(_collapsed(s, z[..., None], c, dtype) == collapsed)
         particles = s * z
-        moment = _moment_grad_stack(x, particles, z, model, 1.0, np.empty(0))
-        args = (x.astype(dtype), particles.astype(dtype), z.astype(dtype))
-        work = _workspace(model.kind, 2, 40, 30, dtype)
-        if model.kind == GAUSSIAN:
-            direct = _gauss_closed_grad_stack(*(a[..., None] for a in args), model.sigma2, 1.0, work)
-        else:
-            direct = _uniform_closed_grad_stack(*args, 1.0, model.half_width, work)
+        args = [a[..., None] for a in (x, particles, z)]
+        moment = _data_grads(model, 1.0, *args, _moment_sums, np.empty(0))
+        # a cloud this narrow is folded by the uniform model's direct path
+        direct = _data_grads(model, 1.0, *(a.astype(dtype) for a in args), _direct_sums,
+                             np.empty((2, 40, 30), dtype), fold=True)
         rel = 4 * np.finfo(dtype).eps
         for g in (moment, direct):
             _assert_within_terms(*g, x, particles, z, model, 1.0, rel)
@@ -714,17 +739,43 @@ def test_grads_mixing_collapsed_and_direct_datasets_match_solo_bitwise(model, dt
         z, g_m, g_s = np.empty((len(rows), m_particles, 1)), np.empty((len(rows), 1)), np.empty(
             (len(rows), 1))
         rngs = [np.random.default_rng((37, i)) for i in rows]
-        work = _workspace(model.kind, block, n, m_particles, dtype)
+        work = np.empty((block, n, m_particles), dtype)
         _grads(x[rows], m[rows], s[rows], model, kernel, config, rngs, work, z, g_m, g_s)
         return z, g_m, g_s
 
     z, g_m, g_s = grads(list(range(r)), 2)
-    taken = _collapsed(s, z, _moment_c(model, 1.0), dtype)
+    taken = _collapsed(s, z, _kernel_c(model, 1.0), dtype)
     assert list(taken) == [True, False, True, True, False]
     for i in range(r):
         _, solo_m, solo_s = grads([i], 1)
         np.testing.assert_array_equal(g_m[i], solo_m[0])
         np.testing.assert_array_equal(g_s[i], solo_s[0])
+
+
+@pytest.mark.parametrize("n_factors", [0, 1, 2])
+def test_direct_and_moment_evaluators_agree_just_below_the_bound(n_factors):
+    # model-free: random points v with weights W, particles p with factors f
+    # and draws z, at |2c v p| <= (1 - 1e-9) MOMENT_TAU for every pair; both
+    # evaluators take sum_ika W_ia e_ik phi_ka [1, z_k] with phi = [1, -f]
+    rng = np.random.default_rng(48)
+    r, n, m_particles, c = 3, 30, 20, 0.7
+    v = 1.5 * rng.standard_normal((r, n, 1))
+    w = rng.standard_normal((r, n, 1 + n_factors))
+    z = rng.standard_normal((r, m_particles, 1))
+    tau = (1.0 - 1e-9) * MOMENT_TAU[np.dtype(np.float64)]
+    p = tau / (2.0 * c * np.abs(v).max(axis=1, keepdims=True)) * z / np.abs(z).max(
+        axis=1, keepdims=True)
+    factors = [rng.standard_normal((r, m_particles, 1)) for _ in range(n_factors)]
+    slabs = [(v, w)]
+    direct = _direct_sums(slabs, p, factors, z, c, np.empty((r, n, m_particles)))
+    moment = _moment_sums(slabs, p, factors, z, c, np.empty(0))
+    e = np.exp(-c * (v - p.transpose(0, 2, 1)) ** 2)  # (R, n, M)
+    phi = np.concatenate([np.ones_like(p)] + [-f for f in factors], axis=2)  # (R, M, A)
+    terms = w[:, :, None, :] * e[..., None] * phi[:, None, :, :]
+    for b, zeta in enumerate((np.ones_like(z), z)):
+        magnitude = np.abs(terms * zeta[:, None]).sum(axis=(1, 2, 3))
+        bound = 4 * np.finfo(np.float64).eps * magnitude
+        assert np.all(np.abs(direct[b][:, 0] - moment[b][:, 0]) <= bound)
 
 
 def test_moment_tau_is_the_truncation_root_rounded_down():
