@@ -34,8 +34,8 @@ from .mmd import (
     minimize_criterion,
     mmd2_contaminated_criterion,
 )
-from .models import ModelSpec
-from .theory import extended_prior_mass_construction, prior_mass_lower_bound
+from .models import ModelSpec, _check_int
+from .theory import certificate_row, extended_prior_mass_construction, prior_mass_lower_bound
 from .vi import DEFAULT_SEED, FitConfig, fit
 
 
@@ -91,6 +91,12 @@ def _as_int(value, key: str, default: int | None = None) -> int | None:
         raise ConfigError(message) from None
 
 
+def _seed(opts: dict) -> int:
+    seed = _as_int(opts["seed"], "seed", DEFAULT_SEED)
+    _check_int("seed", seed, 0)
+    return seed
+
+
 def _as_float(value, key: str, default: float | None = None) -> float | None:
     if value is None:
         return default
@@ -128,7 +134,7 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def cmd_estimate(opts: dict) -> int:
-    seed = _as_int(opts["seed"], "seed", DEFAULT_SEED)
+    seed = _seed(opts)
     out = _out_dir(opts["out"])
     if opts["data"] is not None and opts["problem"] is not None:
         raise ConfigError("give either data or problem, not both")
@@ -214,7 +220,7 @@ def cmd_sweep(opts: dict) -> int:
     steps = _as_int(opts["steps"], "steps", 1000)
     step_scale = _as_float(opts["step_scale"], "step_scale", 1.0)
     jobs = _as_int(opts["jobs"], "jobs", _available_cores())
-    seed = _as_int(opts["seed"], "seed", DEFAULT_SEED)
+    seed = _seed(opts)
     out = _out_dir(opts["out"])
     result = run_sweep(
         name,
@@ -260,24 +266,19 @@ def cmd_theory(opts: dict) -> int:
             raise ConfigError("dim disagrees with the length of theta_star")
     else:
         norm = _as_float(opts["theta_star_norm"], "theta_star_norm")
-        if norm < 0.0:
-            raise ConfigError(f"theta_star_norm must be >= 0, got {norm}")
+        if not 0.0 <= norm < np.inf:
+            raise ConfigError(f"theta_star_norm must be finite and >= 0, got {norm}")
         dim = _as_int(opts["dim"], "dim", 1)
-        theta_star = np.zeros(dim)
-        theta_star[0] = norm
+        _check_int("dim", dim, 1)
+        theta_star = np.array([norm] + [0.0] * (dim - 1))
     n = _as_int(opts["n"], "n", 200)
     sigma2 = _as_float(opts["sigma2"], "sigma2", 1.0)
     gamma2 = _as_float(opts["gamma2"], "gamma2", float(theta_star.size))
     report = prior_mass_lower_bound(theta_star, n, sigma2, gamma2)
     extended = extended_prior_mass_construction(theta_star, n, sigma2, gamma2)
 
-    for key in (
-        "n dim sigma2 gamma2 theta_star_norm s_n f_theta_star "
-        "log_mass_lower_bound mass_lower_bound beta_min".split()
-    ):
-        print(f"{key} = {getattr(report, key)!r}")
-    for key in "rho_variance kl_value mmd_integral_bound beta_min_extended".split():
-        print(f"{key} = {getattr(extended, key)!r}")
+    for key, value in certificate_row(report, extended).items():
+        print(f"{key} = {value!r}")
     if opts["out"] is not None:
         path = os.path.join(_out_dir(opts["out"]), "theory.csv")
         csvio.write_theory_csv(path, report, extended)
@@ -289,7 +290,7 @@ def cmd_verify(opts: dict) -> int:
     trials = _as_int(opts["trials"], "trials", 1000)
     if trials < 2:
         raise ConfigError(f"trials must be >= 2, got {trials}")
-    seed = _as_int(opts["seed"], "seed", DEFAULT_SEED)
+    seed = _seed(opts)
     all_passed = True
 
     model = ModelSpec.gaussian(1)

@@ -17,6 +17,7 @@ import tempfile
 import numpy as np
 
 from .harness import SweepResult
+from .theory import certificate_row
 from .vi import FitTrace
 
 NA = "NA"
@@ -193,31 +194,12 @@ def read_trials_csv(path: str) -> list[dict]:
     return rows
 
 
-THEORY_COLUMNS = (
-    "n,dim,sigma2,gamma2,theta_star_norm,s_n,f_theta_star,log_mass_lower_bound,"
-    "mass_lower_bound,beta_min,rho_variance,kl_value,mmd_integral_bound,beta_min_extended"
-)
-
-
 def theory_to_csv(report, extended) -> str:
-    """One-row CSV combining the prior-mass report and extended construction."""
-    cells = [
-        str(report.n),
-        str(report.dim),
-        fmt(report.sigma2),
-        fmt(report.gamma2),
-        fmt(report.theta_star_norm),
-        fmt(report.s_n),
-        fmt(report.f_theta_star),
-        fmt(report.log_mass_lower_bound),
-        fmt(report.mass_lower_bound),
-        fmt(report.beta_min),
-        fmt(extended.rho_variance),
-        fmt(extended.kl_value),
-        fmt(extended.mmd_integral_bound),
-        fmt(extended.beta_min_extended),
-    ]
-    return THEORY_COLUMNS + "\n" + ",".join(cells) + "\n"
+    """One-row CSV of :func:`.theory.certificate_row`: ``n`` and ``dim`` as
+    integers, every float by :func:`fmt`."""
+    row = certificate_row(report, extended)
+    cells = (fmt(v) if isinstance(v, float) else str(v) for v in row.values())
+    return ",".join(row) + "\n" + ",".join(cells) + "\n"
 
 
 def write_theory_csv(path: str, report, extended) -> None:

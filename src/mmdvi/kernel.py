@@ -112,6 +112,22 @@ def gram_sum(kernel: GaussianKernel, x: np.ndarray, y: np.ndarray) -> float:
     )
 
 
+def _gaussian_pair(kernel: GaussianKernel, theta, theta_prime, sigma2) -> tuple[float, float]:
+    """The checked constant ``(gamma2 / A)^(d/2)`` and exponent ``-||theta -
+    theta'||^2 / A``, ``A = 4 sigma2 + gamma2``, of the closed forms between
+    ``N(theta, sigma2 I)`` and ``N(theta', sigma2 I)``."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta_prime = np.atleast_1d(np.asarray(theta_prime, dtype=float))
+    if theta.shape != theta_prime.shape:
+        raise ValueError(f"dimension mismatch: theta has shape {theta.shape}, "
+                         f"theta_prime has shape {theta_prime.shape}")
+    if not sigma2 > 0.0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    denom = 4.0 * sigma2 + kernel.gamma2
+    diff = theta - theta_prime
+    return (kernel.gamma2 / denom) ** (theta.size / 2.0), -np.dot(diff, diff) / denom
+
+
 def gaussian_embedding_inner(
     kernel: GaussianKernel,
     theta: np.ndarray,
@@ -137,18 +153,8 @@ def gaussian_embedding_inner(
     sigma2 : float
         Common isotropic variance, strictly positive.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    theta_prime = np.atleast_1d(np.asarray(theta_prime, dtype=float))
-    if theta.shape != theta_prime.shape:
-        raise ValueError(
-            f"dimension mismatch: theta has shape {theta.shape}, theta_prime has shape {theta_prime.shape}"
-        )
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    d = theta.size
-    denom = 4.0 * sigma2 + kernel.gamma2
-    diff = theta - theta_prime
-    return (kernel.gamma2 / denom) ** (d / 2.0) * float(np.exp(-np.dot(diff, diff) / denom))
+    const, exponent = _gaussian_pair(kernel, theta, theta_prime, sigma2)
+    return const * float(np.exp(exponent))
 
 
 def point_embedding_inner(

@@ -23,6 +23,7 @@ import numpy as np
 from .kernel import (
     GaussianKernel,
     _as_points,
+    _gaussian_pair,
     gaussian_embedding_inner,
     gram_sum,
     point_embedding_inner,
@@ -97,19 +98,8 @@ def mmd2_gaussian_closed(
         2 (gamma2 / (4 sigma2 + gamma2))^(d/2)
           * (1 - exp(-||theta - theta'||^2 / (4 sigma2 + gamma2))).
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    theta_prime = np.atleast_1d(np.asarray(theta_prime, dtype=float))
-    if theta.shape != theta_prime.shape:
-        raise ValueError(
-            f"dimension mismatch: theta has shape {theta.shape}, theta_prime has shape {theta_prime.shape}"
-        )
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    d = theta.size
-    denom = 4.0 * sigma2 + kernel.gamma2
-    const = (kernel.gamma2 / denom) ** (d / 2.0)
-    diff = theta - theta_prime
-    return 2.0 * const * float(-np.expm1(-np.dot(diff, diff) / denom))
+    const, exponent = _gaussian_pair(kernel, theta, theta_prime, sigma2)
+    return 2.0 * const * float(-np.expm1(exponent))
 
 
 def data_kernel_term(kernel: GaussianKernel, data: np.ndarray) -> float:
@@ -186,9 +176,13 @@ class ContaminatedGaussianSpec:
         return self.theta0.size
 
 
-def _batch_sq_dist(theta: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = theta - center[None, :]
-    return np.einsum("ij,ij->i", diff, diff)
+def _sq_dists(spec: ContaminatedGaussianSpec, theta: np.ndarray) -> list[np.ndarray]:
+    """Squared distances of an (m, d) grid ``theta``, a (d,) parameter one
+    row, to ``spec.theta0`` and to ``spec.theta_c``; two (m,) arrays."""
+    grid = np.atleast_2d(np.asarray(theta, dtype=float))
+    if grid.shape[1] != spec.dim:
+        raise ValueError(f"theta must have dimension {spec.dim}, got {grid.shape[1]}")
+    return [np.einsum("ij,ij->i", diff, diff) for diff in (grid - spec.theta0, grid - spec.theta_c)]
 
 
 def mmd2_contaminated_criterion(
@@ -209,16 +203,13 @@ def mmd2_contaminated_criterion(
     sum of the two Gaussian bumps centred at ``theta0`` and ``theta_c``.
     ``theta`` is an (m, d) grid, a (d,) parameter one row; returns (m,).
     """
-    grid = np.atleast_2d(np.asarray(theta, dtype=float))
-    if grid.shape[1] != spec.dim:
-        raise ValueError(f"theta must have dimension {spec.dim}, got {grid.shape[1]}")
+    dist0, dist_c = _sq_dists(spec, theta)
     eps = spec.epsilon
     denom = 4.0 * spec.sigma2 + kernel.gamma2
-    const = (kernel.gamma2 / denom) ** (spec.dim / 2.0)
-    diff_cc = spec.theta0 - spec.theta_c
-    term0 = -np.expm1(-_batch_sq_dist(grid, spec.theta0) / denom)
-    term_c = -np.expm1(-_batch_sq_dist(grid, spec.theta_c) / denom)
-    term_cross = -math.expm1(-float(np.dot(diff_cc, diff_cc)) / denom)
+    const, cross = _gaussian_pair(kernel, spec.theta0, spec.theta_c, spec.sigma2)
+    term0 = -np.expm1(-dist0 / denom)
+    term_c = -np.expm1(-dist_c / denom)
+    term_cross = -math.expm1(cross)
     return 2.0 * const * ((1.0 - eps) * term0 + eps * term_c - eps * (1.0 - eps) * term_cross)
 
 
@@ -235,12 +226,8 @@ def kl_contaminated_criterion(
     criterion above stays anchored near ``theta0``.  ``theta`` is an (m, d)
     grid, a (d,) parameter one row; returns (m,).
     """
-    grid = np.atleast_2d(np.asarray(theta, dtype=float))
-    if grid.shape[1] != spec.dim:
-        raise ValueError(f"theta must have dimension {spec.dim}, got {grid.shape[1]}")
-    return (1.0 - spec.epsilon) * _batch_sq_dist(grid, spec.theta0) + spec.epsilon * _batch_sq_dist(
-        grid, spec.theta_c
-    )
+    dist0, dist_c = _sq_dists(spec, theta)
+    return (1.0 - spec.epsilon) * dist0 + spec.epsilon * dist_c
 
 
 @dataclass(frozen=True)

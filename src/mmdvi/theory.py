@@ -11,9 +11,11 @@ remain finite for dimensions well beyond 50.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .models import _check_int
 
 __all__ = [
     "PriorMassReport",
@@ -22,18 +24,25 @@ __all__ = [
     "exact_ball_radius",
     "prior_mass_lower_bound",
     "extended_prior_mass_construction",
+    "certificate_row",
 ]
 
 
 def _check_inputs(n: int, sigma2: float, gamma2: float, dim: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if not gamma2 > 0.0:
-        raise ValueError(f"gamma2 must be positive, got {gamma2}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_int("n", n, 1)
+    _check_int("dim", dim, 1)
+    for name, value in (("sigma2", sigma2), ("gamma2", gamma2)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_theta_star(theta_star, n: int, sigma2: float, gamma2: float) -> tuple[np.ndarray, int]:
+    """The checked ``theta_star`` as a 1-D float array, and its dimension."""
+    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
+    if not np.isfinite(theta_star).all():
+        raise ValueError(f"theta_star must be finite, got {theta_star}")
+    _check_inputs(n, sigma2, gamma2, theta_star.size)
+    return theta_star, theta_star.size
 
 
 def ball_radius(n: int, sigma2: float, gamma2: float, dim: int) -> float:
@@ -75,8 +84,8 @@ class PriorMassReport:
     """Prior-mass certificate ``pi(B_n) >= mass_lower_bound`` and the implied
     minimal inverse temperature ``beta_min = n * (f - log L)``."""
 
-    dim: int
     n: int
+    dim: int
     sigma2: float
     gamma2: float
     theta_star_norm: float
@@ -107,9 +116,7 @@ def prior_mass_lower_bound(
     for which the prior-mass condition ``beta >= n (f - log L)`` holds, where
     ``L`` is the density-volume prefactor.
     """
-    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    dim = theta_star.size
-    _check_inputs(n, sigma2, gamma2, dim)
+    theta_star, dim = _check_theta_star(theta_star, n, sigma2, gamma2)
     norm = float(np.linalg.norm(theta_star))
     s_n = ball_radius(n, sigma2, gamma2, dim)
     f = 0.5 * (norm + s_n) ** 2
@@ -117,10 +124,10 @@ def prior_mass_lower_bound(
     log_l = dim * math.log(s_n) - 0.5 * dim * math.log(2.0) - math.lgamma(dim / 2.0 + 1.0)
     log_mass = log_l - f
     return PriorMassReport(
-        dim=dim,
         n=n,
-        sigma2=sigma2,
-        gamma2=gamma2,
+        dim=dim,
+        sigma2=float(sigma2),
+        gamma2=float(gamma2),
         theta_star_norm=norm,
         s_n=s_n,
         f_theta_star=f,
@@ -132,7 +139,8 @@ def prior_mass_lower_bound(
 
 @dataclass(frozen=True)
 class ExtendedMassReport:
-    """Smoothed prior-mass construction around ``theta_star``.
+    """Smoothed prior-mass construction around ``theta_star``: the four
+    quantities it adds to the :class:`PriorMassReport` of the same inputs.
 
     ``rho_variance`` is the per-coordinate variance of the explicit Gaussian
     ``rho_n = N(theta_star, rho_variance * I)``; ``kl_value`` its KL divergence
@@ -142,11 +150,6 @@ class ExtendedMassReport:
     temperature above which the smoothed mass condition holds.
     """
 
-    dim: int
-    n: int
-    sigma2: float
-    gamma2: float
-    theta_star_norm: float
     rho_variance: float
     kl_value: float
     mmd_integral_bound: float
@@ -176,9 +179,7 @@ def extended_prior_mass_construction(
     KL to the prior is the diagonal-Gaussian closed form
     ``(||theta_star||^2 + d rho_variance - d log rho_variance - d) / 2``.
     """
-    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    dim = theta_star.size
-    _check_inputs(n, sigma2, gamma2, dim)
+    theta_star, dim = _check_theta_star(theta_star, n, sigma2, gamma2)
     norm2 = float(np.dot(theta_star, theta_star))
     a4 = 4.0 * sigma2 + gamma2
     half_d = dim / 2.0
@@ -188,14 +189,11 @@ def extended_prior_mass_construction(
     log_c = half_d * (math.log(gamma2) - math.log(a4))
     x = math.exp(log_inflation - math.log(dim * n))  # 2 rho_variance / a4
     mmd_integral = -2.0 * math.exp(log_c) * math.expm1(-half_d * math.log1p(x))
-    return ExtendedMassReport(
-        dim=dim,
-        n=n,
-        sigma2=sigma2,
-        gamma2=gamma2,
-        theta_star_norm=math.sqrt(norm2),
-        rho_variance=rho_variance,
-        kl_value=kl_value,
-        mmd_integral_bound=mmd_integral,
-        beta_min_extended=n * kl_value,
-    )
+    return ExtendedMassReport(rho_variance=rho_variance, kl_value=kl_value,
+                              mmd_integral_bound=mmd_integral, beta_min_extended=n * kl_value)
+
+
+def certificate_row(report: PriorMassReport, extended: ExtendedMassReport) -> dict:
+    """The fields of ``report`` then of ``extended``, by name and in order: the
+    one row that ``mmdvi theory`` prints and writes as ``theory.csv``."""
+    return {**asdict(report), **asdict(extended)}

@@ -295,15 +295,15 @@ def _kernel_c(model: ModelSpec, gamma2: float) -> float:
     return 1.0 / gamma2
 
 
-def _collapsed(s: np.ndarray, z: np.ndarray, c: float, dtype) -> np.ndarray:
+def _collapsed(spread: np.ndarray, c: float, dtype) -> np.ndarray:
     """Which datasets of a d = 1 stack take :func:`_moment_sums`: those with
     ``tau = 2c s max_k |z_k| sqrt(EXP_UNDERFLOW / c) <= MOMENT_TAU`` of the
     kernel dtype.  Points farther than ``sqrt(EXP_UNDERFLOW / c)`` from ``m``
     have kernel weight 0, so ``tau`` bounds ``|2c v p|`` over every pair with
-    weight.  The rule reads only ``s`` (R, 1) and the draws (R, M, 1).
+    weight.  The rule reads only the (R,) cloud spreads ``s max_k |z_k|``.
     """
     reach = 2.0 * math.sqrt(EXP_UNDERFLOW * c)
-    return s[:, 0] * np.abs(z[:, :, 0]).max(axis=1) <= MOMENT_TAU[np.dtype(dtype)] / reach
+    return spread <= MOMENT_TAU[np.dtype(dtype)] / reach
 
 
 def _data_grads(model: ModelSpec, gamma2: float, u: np.ndarray, p: np.ndarray, z: np.ndarray,
@@ -408,11 +408,12 @@ def _grads(x, m, s, model, kernel, config, rngs, work, z, g_m, g_s) -> None:
     r, n, d = x.shape
     for rng, z_row in zip(rngs, z):
         rng.standard_normal(out=z_row)
-    c = _kernel_c(model, kernel.gamma2)
-    taylor = _collapsed(s, z, c, work.dtype) if d == 1 else np.zeros(r, bool)
+    taylor = np.zeros(r, bool)
+    if d == 1:
+        spread = s[:, 0] * np.abs(z[:, :, 0]).max(axis=1)
+        taylor = _collapsed(spread, _kernel_c(model, kernel.gamma2), work.dtype)
     wide, fold = ~taylor, np.zeros(r, bool)
     if model.kind == UNIFORM and wide.any():
-        spread = s[:, 0] * np.abs(z[:, :, 0]).max(axis=1)
         fold = wide & (4.0 * model.half_width / kernel.gamma2 * spread <= FOLD_BOUND)
         wide ^= fold
     chunk = max(1, work.nbytes // ((MOMENT_ORDER + 2) * (2 * n + z.shape[1]) * 8))

@@ -255,6 +255,58 @@ def test_theory_argument_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--theta-star-norm", "2", "--dim", "0"], "dim"),
+        (["--theta-star-norm", "2", "--dim", "-1"], "dim"),
+        (["--theta-star", "nan"], "theta_star"),
+        (["--theta-star", "1,inf"], "theta_star"),
+        (["--theta-star-norm", "nan"], "theta_star_norm"),
+        (["--theta-star-norm", "inf"], "theta_star_norm"),
+        (["--theta-star", "2", "--sigma2", "inf"], "sigma2"),
+        (["--theta-star", "2", "--gamma2", "inf"], "gamma2"),
+        (["--theta-star", "2", "--n", "0"], "n"),
+    ],
+    ids=["dim-zero", "dim-negative", "theta-nan", "theta-inf", "norm-nan", "norm-inf",
+         "sigma2-inf", "gamma2-inf", "n-zero"],
+)
+def test_theory_bad_input_exits_1_without_traceback(capsys, args, field):
+    assert main(["theory", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "sweep", "verify"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_negative_seed_is_named(tmp_path, capsys, cmd, how):
+    args = {"estimate": ["--problem", "gauss1d", "--out", str(tmp_path)],
+            "sweep": ["--problem", "gauss1d", "--out", str(tmp_path)], "verify": []}[cmd]
+    if how == "flag":
+        args = [*args, "--seed", "-1"]
+    else:
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args = [*args, "--config", str(cfg)]
+    assert main([cmd, *args]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--theta-star", "1,2,3", "--sigma2", "0.5"], ["--theta-star-norm", "2.0", "--dim", "15"]],
+    ids=["theta-star", "norm-and-dim"],
+)
+def test_theory_prints_the_keys_of_the_csv_header_in_order(tmp_path, capsys, args):
+    assert main(["theory", *args, "--out", str(tmp_path)]) == 0
+    printed = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+    header, row = (tmp_path / "theory.csv").read_text().splitlines()
+    assert printed == header.split(",")
+    assert len(row.split(",")) == len(printed) == 14
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(

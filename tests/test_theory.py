@@ -7,6 +7,7 @@ from mmdvi.kernel import GaussianKernel
 from mmdvi.mmd import mmd2_gaussian_closed
 from mmdvi.theory import (
     ball_radius,
+    certificate_row,
     exact_ball_radius,
     extended_prior_mass_construction,
     prior_mass_lower_bound,
@@ -45,6 +46,47 @@ def test_input_validation():
         prior_mass_lower_bound(np.array([0.0]), 0, 1.0, 4.0)
     with pytest.raises(ValueError):
         extended_prior_mass_construction(np.array([0.0]), 10, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("theta_star", {"theta_star": [math.nan]}),
+        ("theta_star", {"theta_star": [1.0, math.inf]}),
+        ("dim", {"theta_star": np.zeros(0)}),
+        ("n", {"n": 2.5}),
+        ("n", {"n": True}),
+        ("n", {"n": 0}),
+        ("sigma2", {"sigma2": math.inf}),
+        ("sigma2", {"sigma2": 0.0}),
+        ("gamma2", {"gamma2": math.inf}),
+        ("gamma2", {"gamma2": math.nan}),
+    ],
+)
+def test_certificates_reject_bad_inputs_naming_the_field(field, bad):
+    args = {"theta_star": np.array([2.0]), "n": 200, "sigma2": 1.0, "gamma2": 4.0, **bad}
+    for certificate in (prior_mass_lower_bound, extended_prior_mass_construction):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            certificate(**args)
+
+
+@pytest.mark.parametrize("field, bad", [("n", {"n": True}), ("dim", {"dim": 1.5}),
+                                        ("dim", {"dim": 0}), ("gamma2", {"gamma2": math.inf})])
+def test_radii_reject_bad_inputs_naming_the_field(field, bad):
+    args = {"n": 200, "sigma2": 1.0, "gamma2": 4.0, "dim": 1, **bad}
+    for radius in (ball_radius, exact_ball_radius):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            radius(**args)
+
+
+def test_certificate_row_lists_each_quantity_once():
+    rep = prior_mass_lower_bound(np.array([2.0]), 200, 1.0, 4.0)
+    ext = extended_prior_mass_construction(np.array([2.0]), 200, 1.0, 4.0)
+    row = certificate_row(rep, ext)
+    assert list(row)[:2] == ["n", "dim"]
+    assert list(row)[-4:] == ["rho_variance", "kl_value", "mmd_integral_bound",
+                              "beta_min_extended"]
+    assert len(row) == 14 and row["s_n"] == rep.s_n and row["kl_value"] == ext.kl_value
 
 
 @pytest.mark.parametrize("dim", [1, 3, 10])

@@ -692,8 +692,7 @@ def test_moment_path_matches_per_pair_reference(model):
     x[0, :2] = (1e6, -1e6)  # far out on both sides
     x[1, 4] = 1e300  # kernel weight exactly 0
     particles = 1e-6 * z
-    assert np.all(_collapsed(np.full((3, 1), 1e-6), z[..., None], _kernel_c(model, 1.0),
-                             np.float64))
+    assert np.all(_collapsed(1e-6 * np.abs(z).max(axis=1), _kernel_c(model, 1.0), np.float64))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g_m, g_s = _data_grads(model, 1.0, x[..., None], particles[..., None], z[..., None],
@@ -714,7 +713,7 @@ def test_moment_and_direct_paths_agree_at_the_bound(model, dtype):
     at_bound = MOMENT_TAU[np.dtype(dtype)] / (2.0 * math.sqrt(745.2 * c) * np.abs(z).max(axis=1))
     for factor, collapsed in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
         s = factor * at_bound[:, None]
-        assert np.all(_collapsed(s, z[..., None], c, dtype) == collapsed)
+        assert np.all(_collapsed(s[:, 0] * np.abs(z).max(axis=1), c, dtype) == collapsed)
         particles = s * z
         args = [a[..., None] for a in (x, particles, z)]
         moment = _data_grads(model, 1.0, *args, _moment_sums, np.empty(0))
@@ -744,7 +743,7 @@ def test_grads_mixing_collapsed_and_direct_datasets_match_solo_bitwise(model, dt
         return z, g_m, g_s
 
     z, g_m, g_s = grads(list(range(r)), 2)
-    taken = _collapsed(s, z, _kernel_c(model, 1.0), dtype)
+    taken = _collapsed(s[:, 0] * np.abs(z[:, :, 0]).max(axis=1), _kernel_c(model, 1.0), dtype)
     assert list(taken) == [True, False, True, True, False]
     for i in range(r):
         _, solo_m, solo_s = grads([i], 1)
