@@ -39,26 +39,22 @@ from .theory import certificate_row, extended_prior_mass_construction, prior_mas
 from .vi import DEFAULT_SEED, FitConfig, fit
 
 
-class ConfigError(ValueError):
-    """Invalid configuration (file or flags); maps to exit code 1."""
-
-
 def _load_config_file(path: str, allowed: frozenset) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a flat JSON object")
+        raise ValueError(f"{path}: config must be a flat JSON object")
     unknown = sorted(set(doc) - allowed)
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     for key, value in doc.items():
         if isinstance(value, (dict, list)):
-            raise ConfigError(f"{path}: key {key!r} must be a scalar")
+            raise ValueError(f"{path}: key {key!r} must be a scalar")
     return doc
 
 
@@ -74,7 +70,7 @@ def _reject_unread(opts: dict, keys: str, reason: str) -> None:
     """Refuse options that are set but that nothing reads in this run."""
     unread = [key for key in keys.split() if opts[key] is not None]
     if unread:
-        raise ConfigError(f"{', '.join(unread)} not read {reason}")
+        raise ValueError(f"{', '.join(unread)} not read {reason}")
 
 
 def _as_int(value, key: str, default: int | None = None) -> int | None:
@@ -84,11 +80,11 @@ def _as_int(value, key: str, default: int | None = None) -> int | None:
         return default
     message = f"{key} must be an integer, got {value!r}"
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(message)
+        raise ValueError(message)
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise ConfigError(message) from None
+        raise ValueError(message) from None
 
 
 def _seed(opts: dict) -> int:
@@ -103,7 +99,7 @@ def _as_float(value, key: str, default: float | None = None) -> float | None:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
 def _as_bool(value, key: str) -> bool:
@@ -111,7 +107,7 @@ def _as_bool(value, key: str) -> bool:
         return False
     if isinstance(value, bool):
         return value
-    raise ConfigError(f"{key} must be a boolean, got {value!r}")
+    raise ValueError(f"{key} must be a boolean, got {value!r}")
 
 
 def _available_cores() -> int:
@@ -137,7 +133,7 @@ def cmd_estimate(opts: dict) -> int:
     seed = _seed(opts)
     out = _out_dir(opts["out"])
     if opts["data"] is not None and opts["problem"] is not None:
-        raise ConfigError("give either data or problem, not both")
+        raise ValueError("give either data or problem, not both")
 
     if opts["data"] is not None:
         _reject_unread(opts, "epsilon n", "with a data file")
@@ -151,13 +147,13 @@ def cmd_estimate(opts: dict) -> int:
             _reject_unread(opts, "sigma2", "by the uniform model")
             model = ModelSpec.uniform(d, half_width=_as_float(opts["half_width"], "half_width", 0.5))
         else:
-            raise ConfigError(f"unknown model {kind!r}")
+            raise ValueError(f"unknown model {kind!r}")
         rng_fit = np.random.default_rng(np.random.SeedSequence(seed))
     elif opts["problem"] is not None:
         _reject_unread(opts, "model sigma2 half_width", "with a problem, which fixes its model")
         name = str(opts["problem"])
         if name not in PROBLEMS:
-            raise ConfigError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
+            raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
         problem = PROBLEMS[name]
         model = problem.model
         epsilon = _as_float(opts["epsilon"], "epsilon", 0.0)
@@ -166,7 +162,7 @@ def cmd_estimate(opts: dict) -> int:
         x = generate(problem.contamination(epsilon), n, np.random.default_rng(ss_data))
         rng_fit = np.random.default_rng(ss_fit)
     else:
-        raise ConfigError("estimate needs a data file or a problem name")
+        raise ValueError("estimate needs a data file or a problem name")
 
     n, d = x.shape
     gamma2 = _as_float(opts["gamma2"], "gamma2")
@@ -198,22 +194,22 @@ def _parse_epsilons(value) -> tuple:
     try:
         eps = tuple(float(tok) for tok in str(value).split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"invalid grid: cannot parse epsilons {value!r}") from None
+        raise ValueError(f"invalid grid: cannot parse epsilons {value!r}") from None
     if not eps:
-        raise ConfigError("invalid grid: empty epsilon list")
+        raise ValueError("invalid grid: empty epsilon list")
     for e in eps:
         if not 0.0 <= e < 0.5:
-            raise ConfigError(f"invalid grid: epsilon {e} outside [0, 0.5)")
+            raise ValueError(f"invalid grid: epsilon {e} outside [0, 0.5)")
     return eps
 
 
 def cmd_sweep(opts: dict) -> int:
     name = opts["problem"]
     if name is None:
-        raise ConfigError("sweep needs a problem name")
+        raise ValueError("sweep needs a problem name")
     name = str(name)
     if name not in PROBLEMS:
-        raise ConfigError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
+        raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
     epsilons = _parse_epsilons(opts["epsilons"])
     reps = _as_int(opts["reps"], "reps", 100)
     n = _as_int(opts["n"], "n", 200)
@@ -256,18 +252,18 @@ def cmd_sweep(opts: dict) -> int:
 
 def cmd_theory(opts: dict) -> int:
     if (opts["theta_star"] is None) == (opts["theta_star_norm"] is None):
-        raise ConfigError("theory needs exactly one of theta_star or theta_star_norm")
+        raise ValueError("theory needs exactly one of theta_star or theta_star_norm")
     if opts["theta_star"] is not None:
         try:
             theta_star = np.array([float(tok) for tok in str(opts["theta_star"]).split(",")])
         except ValueError:
-            raise ConfigError(f"cannot parse theta_star {opts['theta_star']!r}") from None
+            raise ValueError(f"cannot parse theta_star {opts['theta_star']!r}") from None
         if opts["dim"] is not None and _as_int(opts["dim"], "dim") != theta_star.size:
-            raise ConfigError("dim disagrees with the length of theta_star")
+            raise ValueError("dim disagrees with the length of theta_star")
     else:
         norm = _as_float(opts["theta_star_norm"], "theta_star_norm")
         if not 0.0 <= norm < np.inf:
-            raise ConfigError(f"theta_star_norm must be finite and >= 0, got {norm}")
+            raise ValueError(f"theta_star_norm must be finite and >= 0, got {norm}")
         dim = _as_int(opts["dim"], "dim", 1)
         _check_int("dim", dim, 1)
         theta_star = np.array([norm] + [0.0] * (dim - 1))
@@ -289,7 +285,7 @@ def cmd_theory(opts: dict) -> int:
 def cmd_verify(opts: dict) -> int:
     trials = _as_int(opts["trials"], "trials", 1000)
     if trials < 2:
-        raise ConfigError(f"trials must be >= 2, got {trials}")
+        raise ValueError(f"trials must be >= 2, got {trials}")
     seed = _seed(opts)
     all_passed = True
 

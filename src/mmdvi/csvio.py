@@ -1,14 +1,17 @@
 """CSV input and output.
 
-All emitted files share one dialect: comma-separated, one header line, floats
-rendered with ``repr`` (shortest string that round-trips in binary), ``NA`` for
-missing values (NaN).  Writers go through a temp-file-and-rename so a crash
-never leaves a partial file behind.  Every writer has a matching reader and
-the pair round-trips losslessly, which the tests rely on.
+Every table is written by one :func:`_table` and read by one
+:func:`read_table`: comma-separated, one header line, a float cell by
+:func:`fmt` (``repr``, the shortest string that round-trips in binary, or
+``NA`` for NaN) and any other cell by ``str``, and read back as the int, float
+or string it was, so every table round-trips losslessly.  Output files go
+through a temp file and a rename, so a crash never leaves a partial file, and
+get the mode a plain ``open`` gives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -43,12 +46,16 @@ def parse_float(cell: str) -> float:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
+    """Write ``text`` to ``path`` via a temp file in the same directory, with
+    the mode that a plain ``open`` would give the new file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp gives 0o600
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -78,11 +85,12 @@ def read_samples(path: str) -> np.ndarray:
                 raise CsvFormatError(
                     path, line, f"expected {width} fields, found {len(cells)}"
                 )
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                bad = next(c for c in cells if not _is_float(c))
-                raise CsvFormatError(path, line, f"not a number: {bad!r}") from None
+            row = []
+            for cell in cells:
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise CsvFormatError(path, line, f"not a number: {cell!r}") from None
             if not all(map(math.isfinite, row)):
                 bad = next(c for c, v in zip(cells, row) if not math.isfinite(v))
                 raise CsvFormatError(path, line, f"not a finite number: {bad!r}")
@@ -92,30 +100,36 @@ def read_samples(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+def _table(header, rows) -> str:
+    """The header line, then one line per row: a float cell by :func:`fmt`, any other by ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = (fmt(c) if isinstance(c, (float, np.floating)) else str(c) for c in row)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _cell(text: str):
+    """A cell as :func:`_table` wrote it: an int, a float, or the string."""
+    for parse in (int, parse_float):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    return text
+
+
+def read_table(path: str) -> list[dict]:
+    """Rows of any table this module writes, as dicts of parsed cells."""
+    with open(path, newline="") as fh:
+        return [{k: _cell(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def trace_to_csv(trace: FitTrace) -> str:
     d = trace.m.shape[1]
-    header = (
-        ["t"]
-        + [f"m_{j}" for j in range(d)]
-        + [f"s_{j}" for j in range(d)]
-        + ["objective", "grad_norm_m", "grad_norm_s"]
-    )
-    lines = [",".join(header)]
-    for t in range(len(trace)):
-        cells = [str(int(trace.t[t]))]
-        cells += [fmt(v) for v in trace.m[t]]
-        cells += [fmt(v) for v in trace.s[t]]
-        cells += [fmt(trace.objective[t]), fmt(trace.grad_norm_m[t]), fmt(trace.grad_norm_s[t])]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ["t", *(f"m_{j}" for j in range(d)), *(f"s_{j}" for j in range(d))]
+    header += ["objective", "grad_norm_m", "grad_norm_s"]
+    columns = (trace.t, trace.m, trace.s, trace.objective, trace.grad_norm_m, trace.grad_norm_s)
+    rows = ((t, *m, *s, *tail) for t, m, s, *tail in zip(*(c.tolist() for c in columns)))
+    return _table(header, rows)
 
 
 def write_trace_csv(path: str, trace: FitTrace) -> None:
@@ -123,83 +137,46 @@ def write_trace_csv(path: str, trace: FitTrace) -> None:
 
 
 def read_trace_csv(path: str) -> FitTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = sum(1 for h in header if h.startswith("m_"))
-        rows = list(reader)
-    t = np.array([int(r[0]) for r in rows])
-    m = np.array([[parse_float(c) for c in r[1 : 1 + d]] for r in rows])
-    s = np.array([[parse_float(c) for c in r[1 + d : 1 + 2 * d]] for r in rows])
-    tail = np.array([[parse_float(c) for c in r[1 + 2 * d :]] for r in rows])
-    return FitTrace(
-        t=t, m=m, s=s, objective=tail[:, 0], grad_norm_m=tail[:, 1], grad_norm_s=tail[:, 2]
-    )
+    rows = read_table(path)
+    col = {key: np.array([r[key] for r in rows]) for key in rows[0]}
+    d = sum(1 for key in col if key.startswith("m_"))
+    m, s = (np.column_stack([col[f"{p}_{j}"] for j in range(d)]) for p in "ms")
+    return FitTrace(t=col["t"], m=m, s=s, objective=col["objective"],
+                    grad_norm_m=col["grad_norm_m"], grad_norm_s=col["grad_norm_s"])
 
 
 def rmse_to_csv(result: SweepResult) -> str:
-    lines = ["problem,epsilon,estimator,repetitions,rmse,stderr"]
-    for i, eps in enumerate(result.epsilons):
-        for method in result.methods:
-            rmse = result.rmse(method)[i]
-            stderr = result.rmse_stderr(method)[i]
-            lines.append(
-                f"{result.problem},{fmt(eps)},{method},{result.reps},{fmt(rmse)},{fmt(stderr)}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (result.problem, eps, method, result.reps, result.rmse(method)[i],
+         result.rmse_stderr(method)[i])
+        for i, eps in enumerate(result.epsilons)
+        for method in result.methods
+    )
+    return _table(("problem", "epsilon", "estimator", "repetitions", "rmse", "stderr"), rows)
 
 
 def write_rmse_csv(path: str, result: SweepResult) -> None:
     atomic_write(path, rmse_to_csv(result))
 
 
-def read_rmse_csv(path: str) -> list[dict]:
-    """Rows of the aggregate sweep file as dicts with parsed numerics."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    for r in rows:
-        r["epsilon"] = parse_float(r["epsilon"])
-        r["repetitions"] = int(r["repetitions"])
-        r["rmse"] = parse_float(r["rmse"])
-        r["stderr"] = parse_float(r["stderr"])
-    return rows
-
-
 def trials_to_csv(result: SweepResult) -> str:
-    lines = ["problem,epsilon,estimator,trial,squared_error,seed"]
-    for i, eps in enumerate(result.epsilons):
-        for method in result.methods:
-            sq = result.squared_errors[method][i]
-            for rep in range(result.reps):
-                seed = f"{result.master_seed}-{i}-{rep}"
-                lines.append(
-                    f"{result.problem},{fmt(eps)},{method},{rep},{fmt(sq[rep])},{seed}"
-                )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (result.problem, eps, method, rep, sq, f"{result.master_seed}-{i}-{rep}")
+        for i, eps in enumerate(result.epsilons)
+        for method in result.methods
+        for rep, sq in enumerate(result.squared_errors[method][i])
+    )
+    return _table(("problem", "epsilon", "estimator", "trial", "squared_error", "seed"), rows)
 
 
 def write_trials_csv(path: str, result: SweepResult) -> None:
     atomic_write(path, trials_to_csv(result))
 
 
-def read_trials_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    for r in rows:
-        r["epsilon"] = parse_float(r["epsilon"])
-        r["trial"] = int(r["trial"])
-        r["squared_error"] = parse_float(r["squared_error"])
-    return rows
-
-
 def theory_to_csv(report, extended) -> str:
-    """One-row CSV of :func:`.theory.certificate_row`: ``n`` and ``dim`` as
-    integers, every float by :func:`fmt`."""
+    """One-row CSV of :func:`.theory.certificate_row`."""
     row = certificate_row(report, extended)
-    cells = (fmt(v) if isinstance(v, float) else str(v) for v in row.values())
-    return ",".join(row) + "\n" + ",".join(cells) + "\n"
+    return _table(row, [row.values()])
 
 
 def write_theory_csv(path: str, report, extended) -> None:

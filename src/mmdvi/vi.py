@@ -47,6 +47,7 @@ from .models import (GAUSSIAN, UNIFORM, ModelSpec, _check_int, uniform_pair_expe
 DEFAULT_SEED = 12345
 DEFAULT_M_BOUNDS = (-1e6, 1e6)
 DEFAULT_S_BOUNDS = (1e-6, 1e3)
+_MIN_BETA_LOG = -math.log(np.finfo(float).max)  # about -709.78
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +90,9 @@ class FitConfig:
 
     ``beta_log`` is ``log(beta)``; ``math.inf`` is the documented sentinel for
     the unregularised limit, in which every regulariser contribution is
-    exactly zero (``1/beta = exp(-beta_log)`` underflows).  ``n_particles``
+    exactly zero (``1/beta = exp(-beta_log)`` underflows).  A ``beta_log`` whose
+    ``1/beta`` is no finite float (NaN, ``-inf``, below about -709.78) is
+    rejected.  ``n_particles``
     defaults to the sample size at fit time, mirroring the benchmark setting.
     """
 
@@ -101,8 +104,8 @@ class FitConfig:
     s_bounds: tuple[float, float] = DEFAULT_S_BOUNDS
 
     def __post_init__(self) -> None:
-        if math.isnan(self.beta_log):
-            raise ValueError("beta_log must not be NaN")
+        if not self.beta_log >= _MIN_BETA_LOG:  # NaN, -inf, or 1/beta past the largest float
+            raise ValueError(f"beta_log must be inf or >= {_MIN_BETA_LOG:.2f}, got {self.beta_log}")
         if self.n_particles is not None:
             _check_int("n_particles", self.n_particles, 2)
         _check_int("n_steps", self.n_steps, 1)
@@ -483,7 +486,7 @@ def objective_exact(
     against.  Data that :func:`fit` would reject raise the same ``ValueError``.
     """
     data = _check_q_data(q, data, model)
-    inv_beta = 0.0 if math.isinf(beta_log) else math.exp(-beta_log)
+    inv_beta = FitConfig(beta_log=beta_log).inv_beta  # FitConfig's rule for beta_log
     dterm = data_kernel_term(kernel, data)
     if model.kind == GAUSSIAN:
         a4 = 4.0 * model.sigma2 + kernel.gamma2

@@ -8,7 +8,7 @@ import pytest
 
 from mmdvi import cli
 from mmdvi.cli import main
-from mmdvi.csvio import read_rmse_csv, read_trace_csv, read_trials_csv
+from mmdvi.csvio import read_table, read_trace_csv
 from mmdvi.theory import extended_prior_mass_construction, prior_mass_lower_bound
 
 
@@ -112,8 +112,12 @@ def test_estimate_malformed_csv_exits_2(tmp_path, capsys):
         ["--sigma2", "-1"],
         ["--model", "uniform", "--half-width", "0"],
         ["--data", "missing.csv"],
+        ["--beta-log", "-1000"],
+        ["--beta-log=-inf"],
+        ["--beta-log", "nan"],
     ],
-    ids=["gamma2-zero", "gamma2-nan", "sigma2-negative", "half-width-zero", "missing-data"],
+    ids=["gamma2-zero", "gamma2-nan", "sigma2-negative", "half-width-zero", "missing-data",
+         "beta-log-overflow", "beta-log-minus-inf", "beta-log-nan"],
 )
 def test_estimate_bad_input_exits_1_without_traceback(tmp_path, capsys, args):
     data = tmp_path / "x.csv"
@@ -125,7 +129,7 @@ def test_estimate_bad_input_exits_1_without_traceback(tmp_path, capsys, args):
     code = main(["estimate", *args, "--steps", "3", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -154,10 +158,10 @@ def _sweep_args(tmp_path, **extra):
 def test_sweep_writes_expected_tables(tmp_path, capsys):
     assert main(_sweep_args(tmp_path)) == 0
     assert "sweep gauss1d" in capsys.readouterr().out
-    rmse = read_rmse_csv(str(tmp_path / "rmse.csv"))
+    rmse = read_table(str(tmp_path / "rmse.csv"))
     assert len(rmse) == 2 * 3
     assert {r["estimator"] for r in rmse} == {"mmd", "mean", "median"}
-    trials = read_trials_csv(str(tmp_path / "trials.csv"))
+    trials = read_table(str(tmp_path / "trials.csv"))
     assert len(trials) == 2 * 3 * 2
     assert trials[0]["seed"] == "7-0-0"
 
@@ -323,12 +327,12 @@ def test_config_file_merging(tmp_path):
     )
     out1 = tmp_path / "one"
     assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-    rows = read_rmse_csv(str(out1 / "rmse.csv"))
+    rows = read_table(str(out1 / "rmse.csv"))
     assert rows[0]["repetitions"] == 3
     # explicit flags beat the file
     out2 = tmp_path / "two"
     assert main(["sweep", "--config", str(cfg), "--reps", "2", "--out", str(out2)]) == 0
-    rows = read_rmse_csv(str(out2 / "rmse.csv"))
+    rows = read_table(str(out2 / "rmse.csv"))
     assert rows[0]["repetitions"] == 2
 
 

@@ -119,6 +119,23 @@ def test_inv_beta_sentinel():
     assert FitConfig(beta_log=math.log(4.0)).inv_beta == pytest.approx(0.25, rel=1e-15)
 
 
+
+@pytest.mark.parametrize(
+    "beta_log", [math.nan, -math.inf, -1000.0, -709.79], ids=["nan", "-inf", "-1000", "-709.79"]
+)
+def test_beta_log_whose_inverse_overflows_is_rejected(beta_log):
+    with pytest.raises(ValueError, match=r"^beta_log must be inf or >= -709.78, got "):
+        FitConfig(beta_log=beta_log)
+    q = MeanFieldGaussian(m=[0.0], s=[1.0])
+    data = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"^beta_log must be inf or >= -709.78, got "):
+        objective_exact(q, data, ModelSpec.gaussian(1), GaussianKernel(1.0), beta_log=beta_log)
+
+
+def test_beta_log_at_the_overflow_edge_is_accepted():
+    inv_beta = FitConfig(beta_log=-math.log(np.finfo(float).max)).inv_beta
+    assert 1e308 < inv_beta < math.inf
+
 def _fd_gradient(f, m, s, h=1e-5):
     """Central finite differences of f(m, s) in every coordinate of m and s."""
     d = m.size
